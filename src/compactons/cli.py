@@ -48,40 +48,39 @@ def _env_float(name, default):
 # profile
 
 
+def _build_field(params, n, v):
+    """Compacton, NLS compacton (v given) or periodic profile, by classification."""
+    # classify covers p > 2; build_compacton also takes the closed-form p = 2 case
+    tag = "Compacton" if params.p == 2 else profiles.classify(params).tag
+    if tag == "Periodic":
+        return profiles.build_periodic(params, n)
+    if tag != "Compacton":
+        raise CliError(
+            f"parameters classify as {tag}, not a bounded profile "
+            "(a compacton needs B > 0 or c > 0 with nonnegative flux inside the support)"
+        )
+    if v is None:
+        return profiles.build_compacton(params, n)
+    return profiles.build_nls_compacton(params, v, n)
+
+
 def _cmd_profile(args):
     try:
-        params = ModelParams(args.p, args.A, args.B, args.c)
-        cls = profiles.classify(params)
+        field = _build_field(ModelParams(args.p, args.A, args.B, args.c), args.n, args.v)
     except (ProfileError, ValueError) as exc:
         raise CliError(str(exc))
-    cls_tag = cls.tag
-    if cls_tag == "Compacton":
-        try:
-            prof = profiles.build_compacton(params, args.n)
-        except (ProfileError, ValueError) as exc:
-            raise CliError(str(exc))
-        print(f"classification: Compacton  half_width: {prof.half_width!r}")
-        artifacts = []
-        if args.out:
-            if args.v is not None:
-                nls = profiles.build_nls_compacton(params, args.v, args.n)
-                profiles.write_nls_profile_csv(nls, args.out)
-            else:
-                profiles.write_profile_csv(prof, args.out)
-            artifacts = [args.out, str(args.out) + ".json"]
-        return artifacts
-    if cls_tag == "Periodic":
-        prof = profiles.build_periodic(params, args.n)
-        print(f"classification: Periodic  period: {prof.period!r}")
-        artifacts = []
-        if args.out:
-            profiles.write_profile_csv(prof, args.out)
-            artifacts = [args.out, str(args.out) + ".json"]
-        return artifacts
-    raise CliError(
-        f"parameters classify as {cls_tag}, not a bounded profile "
-        "(a compacton needs B > 0 or c > 0 with nonnegative flux inside the support)"
-    )
+    if isinstance(field, profiles.PeriodicProfile):
+        print(f"classification: Periodic  period: {field.period!r}")
+    else:
+        base = field.base if isinstance(field, profiles.NlsProfile) else field
+        print(f"classification: Compacton  half_width: {base.half_width!r}")
+    if not args.out:
+        return []
+    if isinstance(field, profiles.NlsProfile):
+        profiles.write_nls_profile_csv(field, args.out)
+    else:
+        profiles.write_profile_csv(field, args.out)
+    return [args.out, str(args.out) + ".json"]
 
 
 # ---------------------------------------------------------------------------
@@ -127,31 +126,19 @@ def _cmd_functionals(args):
         cols, manifest = _read_profile_csv(args.infile)
         if manifest is not None:
             params = ModelParams(manifest["p"], manifest["A"], manifest["B"], manifest["c"])
-            prof = profiles.build_compacton(params, manifest["n"])
-            field = (
-                profiles.build_nls_compacton(params, manifest["v"], manifest["n"])
-                if manifest.get("v") is not None
-                else prof
-            )
+            field = _build_field(params, manifest["n"], manifest.get("v"))
         else:
             if args.p is None:
                 raise CliError("--p is required when the CSV has no parameter manifest")
             field = (cols["x"], cols["phi"])
-        rep = functionals.report(field)
     else:
         if args.p is None or args.c is None:
             raise CliError("provide --in FILE or inline --p/--B/--c parameters")
-        params = ModelParams(args.p, args.A, args.B, args.c)
         try:
-            prof = profiles.build_compacton(params, args.n)
+            field = _build_field(ModelParams(args.p, args.A, args.B, args.c), args.n, args.v)
         except (ProfileError, ValueError) as exc:
             raise CliError(str(exc))
-        field = (
-            profiles.build_nls_compacton(params, args.v, args.n)
-            if args.v is not None
-            else prof
-        )
-        rep = functionals.report(field)
+    rep = functionals.report(field)
     text = functionals.report_json(rep)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -263,23 +250,33 @@ def _run_evolve_once(args, nu, out_dir):
         spectral.write_trajectory_csv(traj, series_path)
         return [series_path]
 
-    grid = evolution.PeriodicGrid(args.L, args.n)
+    length = 40.0 if args.L is None else args.L
     if args.model == "dkdv":
         if kind not in ("compacton", "perturbed"):
             raise CliError(f"--model dkdv does not accept initial condition {kind!r}")
         state0 = evolution.initial_condition(
-            kind, grid, B=opts.get("B", 0.0), c=opts.get("c", 1.0), x0=opts.get("x0", 0.0)
+            kind,
+            evolution.PeriodicGrid(length, args.n),
+            B=opts.get("B", 0.0),
+            c=opts.get("c", 1.0),
+            x0=opts.get("x0", 0.0),
         )
     elif args.model == "dnls":
         if kind != "periodic":
             raise CliError(f"--model dnls does not accept initial condition {kind!r}")
+        B, c = opts.get("B", -0.2), opts.get("c", 1.0)
+        if args.L is None:
+            # one period of the p = 4 profile the initial state is built from
+            length = profiles.build_periodic(ModelParams(4.0, 0.0, B, c), 16).period
         state0 = evolution.initial_condition(
-            "periodic", grid, B=opts.get("B", -0.2), c=opts.get("c", 1.0)
+            "periodic", evolution.PeriodicGrid(length, args.n), B=B, c=c
         )
     elif args.model == "hydro":
         if kind not in ("gaussian", "gaussian+const"):
             raise CliError(f"--model hydro does not accept initial condition {kind!r}")
-        state0 = evolution.initial_condition("gaussian", grid, x0=opts.get("x0", 0.0))
+        state0 = evolution.initial_condition(
+            "gaussian", evolution.PeriodicGrid(length, args.n), x0=opts.get("x0", 0.0)
+        )
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown model {args.model!r}")
 
@@ -293,14 +290,14 @@ def _run_evolve_once(args, nu, out_dir):
         manifest_path = Path(str(prefix) + "_run.json")
         if exc.last_state is not None:
             last = evolution.FieldState(
-                state0.kind, grid,
-                evolution._unpack(state0.kind, grid, exc.last_state),
+                state0.kind, state0.grid,
+                evolution._unpack(state0.kind, state0.grid, exc.last_state),
                 exc.last_time or 0.0,
             )
         else:
-            last = evolution.FieldState(state0.kind, grid, state0.data, 0.0)
+            last = evolution.FieldState(state0.kind, state0.grid, state0.data, 0.0)
         evolution.write_run_manifest(
-            manifest_path, args.model, grid, reg, config, time.time() - t0, last
+            manifest_path, args.model, state0.grid, reg, config, time.time() - t0, last
         )
         raise CliError(f"integration failed: {exc}", code=EXIT_RUNTIME)
     wall = time.time() - t0
@@ -315,7 +312,7 @@ def _run_evolve_once(args, nu, out_dir):
         artifacts.append(snap)
     manifest_path = Path(str(prefix) + "_run.json")
     evolution.write_run_manifest(
-        manifest_path, args.model, grid, reg, config, wall, states[-1]
+        manifest_path, args.model, state0.grid, reg, config, wall, states[-1]
     )
     artifacts.append(manifest_path)
     return artifacts
@@ -390,7 +387,10 @@ def _build_parser():
     p_ev.add_argument("--p", type=float, default=4.0)
     p_ev.add_argument("--nu", type=float, default=1e-4)
     p_ev.add_argument("--T", type=float, default=1.0)
-    p_ev.add_argument("--L", type=float, default=40.0)
+    p_ev.add_argument(
+        "--L", type=float, default=None,
+        help="box length (default 40; one profile period for --model dnls)",
+    )
     p_ev.add_argument("--n", type=int, default=2048)
     p_ev.add_argument("--rtol", type=float, default=None)
     p_ev.add_argument("--atol", type=float, default=None)

@@ -84,24 +84,18 @@ class FieldState:
 
 @dataclass(frozen=True)
 class RegularizationConfig:
-    """Strength and placement of the spectral low-pass regularization.
+    """Strength of the spectral low-pass regularization.
 
-    ``scope`` selects which derivative occurrences in the conservative flux
-    are regularized: "outer" (default) applies the damped multiplier only to
-    the outermost divergence, which keeps the semi-discrete flow a skew
-    gradient of the energy and conserves it up to aliasing; "all" damps every
-    occurrence.
+    The damped multiplier is applied only to the outermost divergence of the
+    conservative flux, which keeps the semi-discrete flow a skew gradient of
+    the energy and conserves it up to aliasing.
     """
 
     nu: float = 1e-4
-    dealias: bool = False
-    scope: str = "outer"
 
     def __post_init__(self):
         if self.nu < 0:
             raise ValueError("regularization strength must be nonnegative")
-        if self.scope not in ("outer", "all"):
-            raise ValueError(f"scope must be 'outer' or 'all', got {self.scope!r}")
 
 
 @dataclass(frozen=True)
@@ -144,25 +138,12 @@ def regularized_derivative(v, grid: PeriodicGrid, nu: float, order: int = 1):
     return out
 
 
-def _dealias_mask(grid):
-    kmax = np.max(np.abs(grid.k))
-    return (np.abs(grid.k) <= (2.0 / 3.0) * kmax).astype(float)
-
-
-def dkdv_rhs(
-    u,
-    grid: PeriodicGrid,
-    p: float = 4.0,
-    nu: float = 1e-4,
-    dealias: bool = False,
-    scope: str = "outer",
-    conserve_mass: bool = True,
-):
+def dkdv_rhs(u, grid: PeriodicGrid, p: float = 4.0, nu: float = 1e-4, conserve_mass: bool = True):
     """-D(u D(u D u) + u^(p-1)) with a regularized outermost derivative.
 
-    With scope="outer" the inner derivatives are exact spectral ones, so the
-    flow is a skew image of the energy gradient and the energy integral is
-    conserved up to aliasing; scope="all" regularizes every occurrence.
+    The inner derivatives are exact spectral ones, so the flow is a skew
+    image of the energy gradient and the energy integral is conserved up to
+    aliasing.
 
     With conserve_mass=True a small conservative flux correction
     mu * (u^2)_x is added, with mu chosen at each evaluation so the rate of
@@ -171,15 +152,11 @@ def dkdv_rhs(
     corrected right-hand side stays within the regularization error of the
     uncorrected one.
     """
-    nu_inner = nu if scope == "all" else 0.0
 
     def D(w, s):
-        out = regularized_derivative(w, grid, s)
-        if dealias:
-            out = np.fft.ifft(_dealias_mask(grid) * np.fft.fft(out)).real
-        return out
+        return regularized_derivative(w, grid, s)
 
-    flux = u * D(u * D(u, nu_inner), nu_inner) + np.sign(u) * np.abs(u) ** (p - 1)
+    flux = u * D(u * D(u, 0.0), 0.0) + np.sign(u) * np.abs(u) ** (p - 1)
     if conserve_mass:
         # d/dt int u^2 = -2 <D_nu u, flux>; cancel it along the smooth
         # conservative direction (u^2)_x, whose pairing with D_nu u is O(1).
@@ -241,7 +218,7 @@ def _model_rhs(state: FieldState, p, reg: RegularizationConfig) -> Callable:
     if kind == "real":
 
         def rhs(y):
-            return dkdv_rhs(y, grid, p, reg.nu, reg.dealias, reg.scope)
+            return dkdv_rhs(y, grid, p, reg.nu)
 
     elif kind == "complex":
 
@@ -466,13 +443,8 @@ def run_model(
     n_samples: int = 21,
 ):
     """Integrate a model state and collect conservation diagnostics."""
-    rhs = _model_rhs(state0, p, reg)
-
-    def packed_rhs(y):
-        return rhs(y)
-
     t_eval = np.linspace(state0.t, t_end, n_samples)
-    times, states = integrate(packed_rhs, state0, t_end, config, t_eval)
+    times, states = integrate(_model_rhs(state0, p, reg), state0, t_end, config, t_eval)
     series = DiagnosticsSeries()
     for st in states:
         M, H, Pm = diagnostics(st, p)

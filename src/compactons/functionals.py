@@ -6,6 +6,11 @@ combination u*u_x is evaluated through the first integral, which keeps it
 bounded up to the support edges; on NLS profiles the phase contribution is
 folded in through the polar identities, since the raw phase derivative is
 unbounded at the edges while rho*theta_x is not.
+
+The fixed-mass minimizer searches the compacton family along its scaling
+symmetry: one scale-invariant ratio r = B / c^(p/(p-2)) labels each member up
+to rescaling, so the search is one-dimensional and every trial member is
+integrated once, at unit speed, then scaled to the target mass exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.optimize import brentq
+from scipy.optimize import minimize_scalar
 
 from .profiles import (
     CompactonProfile,
@@ -212,18 +217,23 @@ def report_json(rep: FunctionalReport) -> str:
 # ---------------------------------------------------------------------------
 # fixed-mass minimization over the (B, c) family
 
-
-def _family_values(p, B, c):
-    xr, M, S, Pp = compacton_integrals(ModelParams(p, 0.0, B, c), panels=96)
-    return M, 0.5 * S - Pp / p
+# scale-invariant ratios r = B / c^(p/(p-2)) searched before refinement
+_RATIO_GRID = np.concatenate(([0.0], np.geomspace(1e-6, 1e3, 16)))
 
 
 def minimize_in_family(p: float, m: float) -> MinimizerResult:
-    """Minimize H over the compacton family at fixed mass m (2 < p < 8).
+    """Minimize H over the compacton family B >= 0, c > 0 at fixed mass m (2 < p < 8).
 
-    Parametrized by the speed c > 0: B(c) is solved from M = m by bracketed
-    root finding, then H along the constrained curve is minimized by
-    golden-section search to 1e-8.
+    The scaling (B, c) -> (B lam^p, c lam^(p-2)) multiplies M by lam^((8-p)/2)
+    and H by lam^((p+4)/2), so every member is a rescaled unit-speed member
+    Phi_{r,1} with r = B / c^(p/(p-2)), and at mass m
+
+        H = m^((p+4)/(8-p)) * H_1(r) / M_1(r)^((p+4)/(8-p)).
+
+    The ratio is minimized over a log grid in r that includes 0, refined by a
+    bounded scalar search between the neighbours of the best grid point, and
+    the minimizer is scaled back to mass m exactly.  Members whose quadrature
+    fails are left out; ``iterations`` counts objective evaluations.
     """
     if not (2 < p < 8):
         raise ProfileError("family minimization requires 2 < p < 8")
@@ -234,70 +244,32 @@ def minimize_in_family(p: float, m: float) -> MinimizerResult:
         c_star = m / (math.sqrt(2) * math.pi)
         return MinimizerResult(0.0, c_star, -(m**2) / (4 * math.sqrt(2) * math.pi), m, 0)
 
-    iters = 0
+    k = (p + 4) / (8 - p)
+    best = (math.inf, 0.0, 0.0)  # (objective, r, M_1(r))
 
-    # mass at B = 0 scales like c^((8-p)/(2(p-2))); pick c_max so M(0, c_max) = m
-    M1, _ = _family_values(p, 0.0, 1.0)
-    c_max = (m / M1) ** (2 * (p - 2) / (8 - p))
+    def objective(r):
+        nonlocal best
+        try:
+            _, M1, S, Pp = compacton_integrals(ModelParams(p, 0.0, r, 1.0), panels=96)
+        except ProfileError:
+            return math.inf
+        f = (0.5 * S - Pp / p) / M1**k
+        best = min(best, (f, r, M1))
+        return f
 
-    def B_of_c(c):
-        """Smallest B >= 0 with M(B, c) = m (mass need not be monotone in B)."""
-        nonlocal iters
-        M0, _ = _family_values(p, 0.0, c)
-        if abs(M0 - m) < 1e-11 * m:
-            return 0.0
-        bs = np.concatenate(([0.0], np.geomspace(1e-8, 64.0, 48) * max(c, 1e-3) ** 2))
-        prev_b, prev_f = 0.0, M0 - m
-        for b in bs[1:]:
-            iters += 1
-            f = _family_values(p, b, c)[0] - m
-            if prev_f == 0.0:
-                return prev_b
-            if f * prev_f < 0:
-                return brentq(
-                    lambda bb: _family_values(p, bb, c)[0] - m,
-                    prev_b,
-                    b,
-                    xtol=1e-14,
-                    rtol=1e-13,
-                )
-            prev_b, prev_f = b, f
-        return None
-
-    def H_of_c(c):
-        nonlocal iters
-        iters += 1
-        B = B_of_c(c)
-        if B is None:
-            return np.inf
-        _, H = _family_values(p, B, c)
-        return H
-
-    lo, hi = 1e-3 * c_max, 2.0 * c_max
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = H_of_c(x1), H_of_c(x2)
-    f_edge = H_of_c(c_max)  # exact B = 0 point; B(c) is discontinuous there for p > 4
-    while abs(f1 - f2) > 1e-10 * (1 + abs(f1)) or (b - a) > 1e-10 * c_max:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = H_of_c(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = H_of_c(x2)
-        if (b - a) < 1e-12 * c_max:
-            break
-    c_star = 0.5 * (a + b)
-    H_star = H_of_c(c_star)
-    if f_edge <= H_star:
-        c_star, H_star = c_max, f_edge
-    B_star = B_of_c(c_star)
-    M_star, _ = _family_values(p, B_star, c_star)
-    return MinimizerResult(float(B_star), float(c_star), float(H_star), float(M_star), iters)
+    grid = _RATIO_GRID
+    i = int(np.argmin([objective(r) for r in grid]))
+    if not math.isfinite(best[0]):
+        raise ProfileError(f"no member of the p = {p} compacton family could be integrated")
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    refined = minimize_scalar(
+        objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-6 * (hi - lo)}
+    )
+    f, r, M1 = best
+    lam = (m / M1) ** (2 / (8 - p))
+    return MinimizerResult(
+        float(r * lam**p), float(lam ** (p - 2)), float(m**k * f), float(m), grid.size + refined.nfev
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -303,21 +304,28 @@ def _positive_below(params: ModelParams, z: float) -> bool:
 # quadrature machinery (substituted variable u with phi = phi_max - u^2)
 
 
+_leggauss = cache(leggauss)
+
+
+def _gauss_panels(f, bounds: np.ndarray, order: int = 8) -> np.ndarray:
+    """Integrals of f over each panel [bounds[j], bounds[j+1]] by Gauss-Legendre.
+
+    f maps the (m, order) array of nodes to values of shape (..., m, order);
+    the result has shape (..., m).  The nodes never touch the panel
+    boundaries, so f may be singular-in-derivative there.
+    """
+    nodes, weights = _leggauss(order)
+    half = 0.5 * np.diff(bounds)
+    return (f((bounds[:-1] + half)[:, None] + half[:, None] * nodes) @ weights) * half
+
+
 def _gauss_cumulative(g, u_max: float, m: int, order: int = 8):
     """Cumulative integral of g on [0, u_max] at m+1 panel boundaries.
 
-    Returns (u_bounds, cumulative).  Gauss-Legendre nodes never touch the
-    panel boundaries, so g may be singular-in-derivative at the ends.
+    Returns (u_bounds, cumulative).
     """
-    nodes, weights = leggauss(order)
     ub = np.linspace(0.0, u_max, m + 1)
-    h = ub[1] - ub[0]
-    mid = 0.5 * (ub[:-1] + ub[1:])
-    pts = mid[:, None] + 0.5 * h * nodes[None, :]
-    vals = g(pts.ravel()).reshape(m, order)
-    panel = 0.5 * h * vals @ weights
-    cum = np.concatenate(([0.0], np.cumsum(panel)))
-    return ub, cum
+    return ub, np.concatenate(([0.0], np.cumsum(_gauss_panels(g, ub, order))))
 
 
 def _compacton_g(params: ModelParams, phi_max: float):
@@ -344,10 +352,7 @@ def support_half_width(params: ModelParams) -> float:
         if B == 0:
             return math.pi / math.sqrt(2)
         return math.acos(-c / math.sqrt(4 * B + c * c)) / math.sqrt(2)
-    phi_max = _largest_positive_root_F(params)
-    g = _compacton_g(params, phi_max)
-    _, cum = _gauss_cumulative(g, math.sqrt(phi_max), 512, order=16)
-    return float(cum[-1])
+    return compacton_integrals(params, panels=512)[0]
 
 
 def compacton_integrals(params: ModelParams, panels: int = 64, order: int = 16):
@@ -365,21 +370,15 @@ def compacton_integrals(params: ModelParams, panels: int = 64, order: int = 16):
         S = 2 * (-(1 + c) / 4 * M) + M
         return xr, M, S, M
     phi_max = _largest_positive_root_F(params)
-    u_max = math.sqrt(phi_max)
-    nodes, weights = leggauss(order)
-    ub = np.linspace(0.0, u_max, panels + 1)
-    h = ub[1] - ub[0]
-    mid = 0.5 * (ub[:-1] + ub[1:])
-    u = (mid[:, None] + 0.5 * h * nodes[None, :]).ravel()
-    w = np.tile(0.5 * h * weights, panels)
-    phi = phi_max - u * u
-    F = first_integral(phi, params)
-    g = 2 * u / np.sqrt(np.maximum(F, 1e-300))
-    xr = float(np.sum(w * g))
-    M = 2 * float(np.sum(w * phi**2 * g))
-    S = 2 * float(np.sum(w * flux_squared(phi, params) * g))
-    Pp = 2 * float(np.sum(w * phi**p * g))
-    return xr, M, S, Pp
+
+    def integrands(u):
+        phi = phi_max - u * u
+        g = 2 * u / np.sqrt(np.maximum(first_integral(phi, params), 1e-300))
+        return np.stack((g, phi**2 * g, flux_squared(phi, params) * g, phi**p * g))
+
+    bounds = np.linspace(0.0, math.sqrt(phi_max), panels + 1)
+    xr, M, S, Pp = _gauss_panels(integrands, bounds, order).sum(axis=1)
+    return float(xr), 2 * float(M), 2 * float(S), 2 * float(Pp)
 
 
 # ---------------------------------------------------------------------------
@@ -652,30 +651,25 @@ def weak_residual(profile: CompactonProfile, test_fn, d1=None, d2=None, panels: 
     ub, cum = _gauss_cumulative(g, u_max, 2048)
     x_of_u = PchipInterpolator(ub, cum)
 
-    nodes, weights = leggauss(16)
-    bounds = np.linspace(0.0, u_max, panels + 1)
-    h_p = bounds[1] - bounds[0]
-    mid = 0.5 * (bounds[:-1] + bounds[1:])
-    u = (mid[:, None] + 0.5 * h_p * nodes[None, :]).ravel()
-    w = np.tile(0.5 * h_p * weights, panels)
+    def integrand(u):
+        phi = phi_max - u * u
+        F = first_integral(phi, params)
+        gvals = 2 * u / np.sqrt(np.maximum(F, 1e-300))
+        G = flux_squared(phi, params)
+        x = x_of_u(u)
+        total = 0.0
+        for sgn in (+1.0, -1.0):
+            xx = sgn * x
+            psi1 = d1(xx)
+            psi2 = d2(xx)
+            # phi' = -sign(x) sqrt(F); phi (phi')^2 = G/phi; phi^2 phi' = -sign(x) phi sqrt(G)
+            term = (c * phi - phi ** (p - 1)) * psi1
+            term = term + (G / np.maximum(phi, 1e-300)) * psi1
+            term = term - sgn * phi * np.sqrt(np.maximum(G, 0.0)) * psi2
+            total = total + term * gvals
+        return total
 
-    phi = phi_max - u * u
-    F = first_integral(phi, params)
-    gvals = 2 * u / np.sqrt(np.maximum(F, 1e-300))
-    G = flux_squared(phi, params)
-    x = x_of_u(u)
-
-    total = 0.0
-    for sgn in (+1.0, -1.0):
-        xx = sgn * x
-        psi1 = d1(xx)
-        psi2 = d2(xx)
-        # phi' = -sign(x) sqrt(F); phi (phi')^2 = G/phi; phi^2 phi' = -sign(x) phi sqrt(G)
-        term = (c * phi - phi ** (p - 1)) * psi1
-        term = term + (G / np.maximum(phi, 1e-300)) * psi1
-        term = term - sgn * phi * np.sqrt(np.maximum(G, 0.0)) * psi2
-        total += float(np.sum(w * term * gvals))
-    return total
+    return float(np.sum(_gauss_panels(integrand, np.linspace(0.0, u_max, panels + 1), 16)))
 
 
 # ---------------------------------------------------------------------------
@@ -692,25 +686,13 @@ def nls_phase(base: CompactonProfile):
     if np.any(base.phi[1:-1] <= 0):
         raise ProfileError("phase quadrature requires a positive interior profile")
     xs = base.xs
-    nodes, weights = leggauss(8)
-    theta = np.full(xs.size, np.nan)
-    mid_idx = np.searchsorted(xs, 0.0)
-    theta[mid_idx] = 0.0
-
-    def theta_prime(x):
-        ph = base(x)
-        return -1.0 / (2.0 * np.maximum(ph, 1e-300) ** 2)
-
-    # cumulative Gauss panels between consecutive samples, outward from 0
-    inc = np.zeros(xs.size - 1)
-    for j in range(xs.size - 1):
-        a, b = xs[j], xs[j + 1]
-        pts = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-        inc[j] = 0.5 * (b - a) * float(weights @ theta_prime(pts))
-    for j in range(mid_idx, xs.size - 1):
-        theta[j + 1] = theta[j] + inc[j]
-    for j in range(mid_idx, 0, -1):
-        theta[j - 1] = theta[j] - inc[j - 1]
+    # Gauss panels between consecutive samples, summed outward from x = 0
+    inc = _gauss_panels(lambda x: -1.0 / (2.0 * np.maximum(base(x), 1e-300) ** 2), xs)
+    mid = np.searchsorted(xs, 0.0)
+    theta = np.empty(xs.size)
+    theta[mid] = 0.0
+    theta[mid + 1 :] = np.cumsum(inc[mid:])
+    theta[:mid] = -np.cumsum(inc[:mid][::-1])[::-1]
     theta[0] = np.inf
     theta[-1] = -np.inf
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from compactons import functionals, profiles
 from compactons.cli import main
 
 
@@ -53,6 +54,16 @@ class TestFunctionalsCommand:
         )
         assert code == 0
         assert from_file == inline  # bit-for-bit through the decimal round trip
+
+    def test_periodic_round_trip(self, capsys, tmp_path):
+        out_csv = tmp_path / "per.csv"
+        code, _, _ = run(capsys, "profile", "--p", "4", "--B", "-0.2", "--c", "1",
+                         "--out", str(out_csv))
+        assert code == 0
+        code, out, _ = run(capsys, "functionals", "--in", str(out_csv))
+        assert code == 0
+        ref = functionals.report(profiles.build_periodic(profiles.ModelParams(4, 0, -0.2, 1), 1024))
+        assert json.loads(out)["mass"] == pytest.approx(ref.mass, rel=1e-12)
 
     def test_values(self, capsys):
         code, out, _ = run(capsys, "functionals", "--p", "4", "--B", "0", "--c", "1",
@@ -150,6 +161,17 @@ class TestEvolveCommand:
         assert code == 0
         for tag in ("nu_0.0001", "nu_0.001"):
             assert (tmp_path / tag / "s_run.json").exists()
+
+    def test_dnls_default_box(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "evolve", "--model", "dnls", "--ic", "periodic", "--n", "128",
+            "--T", "0.01", "--out-prefix", "d", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        series = (tmp_path / "d_series.csv").read_text().strip().split("\n")
+        assert series[0] == "t,mass,hamiltonian,momentum"
+        manifest = json.loads((tmp_path / "d_run.json").read_text())
+        assert manifest["grid"]["L"] == pytest.approx(math.sqrt(2) * math.pi, rel=1e-12)
 
     def test_bad_initial_condition(self, capsys, tmp_path):
         code, _, _ = run(

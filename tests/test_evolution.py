@@ -318,5 +318,3 @@ class TestRunModelAndArtifacts:
     def test_regularization_validation(self):
         with pytest.raises(ValueError):
             RegularizationConfig(-1e-4)
-        with pytest.raises(ValueError):
-            RegularizationConfig(1e-4, scope="inner")

@@ -23,6 +23,8 @@ from compactons.profiles import (
     ProfileError,
     build_compacton,
     build_nls_compacton,
+    compacton_integrals,
+    scale_params,
 )
 
 SQRT2PI = math.sqrt(2.0) * math.pi
@@ -154,6 +156,34 @@ class TestMinimization:
         h1 = minimize_in_family(p, 1.0).H_star
         hm = minimize_in_family(p, m).H_star
         assert hm == pytest.approx(m ** ((p + 4) / (8 - p)) * h1, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [2.2, 7.9])
+    def test_ends_of_the_exponent_range(self, p):
+        # members with large B fail to integrate at p = 2.2 and are left out
+        h1 = minimize_in_family(p, 1.0)
+        hm = minimize_in_family(p, 1.5)
+        assert h1.mass == 1.0 and hm.mass == 1.5
+        assert hm.H_star == pytest.approx(1.5 ** ((p + 4) / (8 - p)) * h1.H_star, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [2.5, 3.5, 6.0])
+    def test_not_above_rescaled_members(self, p):
+        m = 1.0
+        H_star = minimize_in_family(p, m).H_star
+        for B in np.geomspace(1e-3, 10.0, 20):
+            unit = ModelParams(p, 0.0, B, 1.0)
+            lam = (m / compacton_integrals(unit, panels=128)[1]) ** (2 / (8 - p))
+            _, M, S, Pp = compacton_integrals(scale_params(unit, lam), panels=128)
+            assert M == pytest.approx(m, rel=1e-6)
+            H = 0.5 * S - Pp / p
+            assert H_star <= H + 1e-9 * abs(H), B
+
+    @pytest.mark.parametrize("p", [2.5, 3.5, 6.0])
+    def test_minimizing_profile(self, p):
+        m = 1.0
+        res = minimize_in_family(p, m)
+        prof = build_compacton(ModelParams(p, 0.0, res.B_star, res.c_star), 4097)
+        assert mass(prof) == pytest.approx(m, rel=1e-6)
+        assert hamiltonian(prof) == pytest.approx(res.H_star, rel=1e-6)
 
     @pytest.mark.parametrize("p", [2.0, 8.0, 9.0])
     def test_exponent_range(self, p):

@@ -266,6 +266,29 @@ class TestNlsPhase:
         finite = np.isfinite(theta)
         assert np.max(np.abs(theta[finite] + theta[::-1][finite[::-1]])) < 1e-12
 
+    @pytest.mark.parametrize("c", [0.7, 1.0])
+    def test_resting_closed_form(self, c):
+        # B = 0, p = 4: Phi^2 = 2c cos^2(x/sqrt2), so theta = -(sqrt2/(4c)) tan(x/sqrt2)
+        base = build_compacton(ModelParams(4, 0, 0, c), 4097)
+        theta, _ = nls_phase(base)
+        inner = np.abs(base.xs) <= 0.99 * base.half_width
+        ref = -(math.sqrt(2) / (4 * c)) * np.tan(base.xs[inner] / math.sqrt(2))
+        assert np.max(np.abs(theta[inner] - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_matches_sample_by_sample_loop(self):
+        # reference: one 8-point Gauss panel per sample interval, summed in a loop
+        base = build_compacton(ModelParams(3, 0, 0.1, 1), 257)
+        theta, _ = nls_phase(base)
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        xs, mid = base.xs, base.xs.size // 2
+        ref = np.zeros(xs.size)
+        for j in range(mid, xs.size - 2):
+            a, b = xs[j], xs[j + 1]
+            vals = -0.5 / base(0.5 * (a + b) + 0.5 * (b - a) * nodes) ** 2
+            ref[j + 1] = ref[j] + 0.5 * (b - a) * (weights @ vals)
+        right = slice(mid, xs.size - 1)
+        assert np.max(np.abs(theta[right] - ref[right])) <= 1e-12 * np.max(np.abs(ref[right]))
+
     def test_inverse_edge_asymptote(self):
         base = build_compacton(ModelParams(4, 0, 0, 1), 4097)
         theta, asym = nls_phase(base)

@@ -260,16 +260,17 @@ def _run_evolve_once(args, nu, out_dir):
             B=opts.get("B", 0.0),
             c=opts.get("c", 1.0),
             x0=opts.get("x0", 0.0),
+            p=args.p,
         )
     elif args.model == "dnls":
         if kind != "periodic":
             raise CliError(f"--model dnls does not accept initial condition {kind!r}")
         B, c = opts.get("B", -0.2), opts.get("c", 1.0)
         if args.L is None:
-            # one period of the p = 4 profile the initial state is built from
-            length = profiles.build_periodic(ModelParams(4.0, 0.0, B, c), 16).period
+            # one period of the profile the initial state is built from
+            length = profiles.build_periodic(ModelParams(args.p, 0.0, B, c), 16).period
         state0 = evolution.initial_condition(
-            "periodic", evolution.PeriodicGrid(length, args.n), B=B, c=c
+            "periodic", evolution.PeriodicGrid(length, args.n), B=B, c=c, p=args.p
         )
     elif args.model == "hydro":
         if kind not in ("gaussian", "gaussian+const"):

@@ -489,6 +489,11 @@ def _build_by_quadrature(params: ModelParams, n: int, m: int = 8192) -> Compacto
     g = _compacton_g(params, phi_max)
     ub, cum = _gauss_cumulative(g, u_max, m)
     xr = float(cum[-1])
+    if not np.all(np.diff(cum) > 0):
+        raise ProfileError(
+            f"quadrature inversion failed at speed c = {params.c!r}: x(phi) is not strictly "
+            f"increasing over the support (half width {xr:.3g})"
+        )
     # phi(x) on the right half through monotone interpolation of the samples
     # (x(u_i), phi(u_i)); x-samples are naturally graded toward the edge.
     phi_at_ub = phi_max - ub * ub

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve, solve_banded
+from scipy.linalg import eigh, eigh_tridiagonal, lu_factor, lu_solve, solve_banded
 
 from .profiles import CompactonProfile, ModelParams, build_compacton
 
@@ -62,6 +62,11 @@ CASE_PARAMS = {
 def _check_case(case_tag):
     if case_tag not in CASE_PARAMS:
         raise ValueError(f"unknown case {case_tag!r}; expected one of {sorted(CASE_PARAMS)}")
+
+
+def _check_k(k, available):
+    if not 1 <= k <= available:
+        raise ValueError(f"k = {k} eigenpairs requested; the grid gives 1 to {available}")
 
 
 @dataclass(frozen=True)
@@ -288,22 +293,50 @@ def green_apply(case_tag: str, f: np.ndarray, enforce_orthogonality: bool = True
 # Hilbert-Schmidt bounds and the explicit kernel (B = 1/4)
 
 
-def _kernel_matrix(case_tag, x):
-    """K(x_i, x_j) of the inverse for the non-resonant B = 1/4 cases."""
-    B, c = CASE_PARAMS[case_tag]
+def _green_pair(case_tag, x, xr):
+    """(q_-, q_+, W, phi) on x for the non-resonant B = 1/4 cases.
+
+    The inverse kernel is K(x, y) = -q_-(min(x, y)) q_+(max(x, y)) / W.
+    """
     if case_tag not in ("B14c1", "B14cm1"):
         raise ValueError("explicit inverse kernel available for B14c1 and B14cm1 only")
-    op = make_operator(case_tag, 31)
-    xr = op.profile.half_width
-    Z = math.sqrt(4 * B + c * c)
+    c, Z = _rho_coeffs(case_tag)
     phi = np.sqrt(np.maximum(c + Z * np.cos(SQRT2 * x), 1e-300))
-    ym = np.sin(SQRT2 * (x + xr)) / SQRT2
-    yp = np.sin(SQRT2 * (x - xr)) / SQRT2
-    qm, qp = ym / phi, yp / phi
+    qm = np.sin(SQRT2 * (x + xr)) / (SQRT2 * phi)
+    qp = np.sin(SQRT2 * (x - xr)) / (SQRT2 * phi)
     W = math.sin(2 * SQRT2 * xr) / SQRT2
+    return qm, qp, W, phi
+
+
+def _kernel_matrix(case_tag, x, xr):
+    """K(x_i, x_j) of the inverse for the non-resonant B = 1/4 cases."""
+    qm, qp, W, _ = _green_pair(case_tag, x, xr)
     lower = np.tril(np.outer(qp, qm))  # rows i >= cols j: q_-(x_j) q_+(x_i)
     K = lower + lower.T - np.diag(qm * qp)
     return -K / W
+
+
+def _kernel_inverse(case_tag, x, xr):
+    """(diagonal, off-diagonal) of the inverse of `_kernel_matrix`, which is tridiagonal.
+
+    x must be increasing.  The kernel matrix is -G / W with the semiseparable
+    Green matrix G_ij = q_-(x_min(i,j)) q_+(x_max(i,j)), so its inverse is
+    -W T with T = G^-1 tridiagonal: T_{i,i+1} = -1/d_i, d_i = a_{i+1} b_i -
+    a_i b_{i+1} (a = q_-, b = q_+), interior diagonal (a_{i+1} b_{i-1} -
+    a_{i-1} b_{i+1}) / (d_{i-1} d_i), and ends a_1 / (a_0 d_0),
+    b_{n-2} / (b_{n-1} d_{n-2}).  Both differences are taken in the closed form
+    a_j b_i - a_i b_j = -sin(2 sqrt2 x_r) sin(sqrt2 (x_j - x_i)) / (2 phi_i phi_j),
+    which does not cancel for close samples.
+    """
+    qm, qp, W, phi = _green_pair(case_tag, x, xr)
+    s2r = math.sin(2 * SQRT2 * xr)
+    d = -s2r * np.sin(SQRT2 * np.diff(x)) / (2 * phi[:-1] * phi[1:])
+    num = -s2r * np.sin(SQRT2 * (x[2:] - x[:-2])) / (2 * phi[:-2] * phi[2:])
+    diag = np.empty(x.size)
+    diag[1:-1] = num / (d[:-1] * d[1:])
+    diag[0] = qm[1] / (qm[0] * d[0])
+    diag[-1] = qp[-2] / (qp[-1] * d[-1])
+    return -W * diag, W / d
 
 
 def green_orthogonalize(case_tag: str, f: np.ndarray) -> np.ndarray:
@@ -340,7 +373,7 @@ def hs_norm_bound(case_tag: str, levels=(256, 512, 1024)) -> list:
     for n in levels:
         x = np.linspace(-xr, xr, n + 2)[1:-1]
         h = x[1] - x[0]
-        K = _kernel_matrix(case_tag, x)
+        K = _kernel_matrix(case_tag, x, xr)
         row = np.sum(K * K, axis=1) * h
         out.append(float(np.max(row)))
     return out
@@ -356,50 +389,68 @@ def _graded_mesh(xr, n):
 
 
 def eig_green(case_tag: str, n: int = 1600, k: int = 6) -> Spectrum:
-    """Spectrum of the B = 1/4 operators through their compact inverse.
+    """Lowest k eigenpairs of the B = 1/4 operators through their compact inverse.
 
-    Nystrom discretization of the inverse kernel on a graded midpoint mesh;
-    eigenvalues of L are reciprocals of the integral-operator eigenvalues.
-    The c = 0 case is treated on the complement of phi (its kernel).
+    Nystrom discretization S = D K D, D = diag(sqrt(w)), of the inverse
+    kernel K on a graded midpoint mesh with weights w; eigenvalues of L are
+    reciprocals of the eigenvalues mu of S, and eigenfunctions are S's
+    eigenvectors over sqrt(w).  k must lie between 1 and the number of
+    eigenpairs the mesh gives (n, or n - 1 for B14c0).
+
+    B14c1 and B14cm1: K is a semiseparable Green matrix whose inverse is
+    tridiagonal (`_kernel_inverse`), so S^-1 = D^-1 K^-1 D^-1 is a symmetric
+    tridiagonal matrix whose lowest k eigenpairs, the lowest k eigenpairs of
+    L on the mesh, are computed directly in O(n k); no dense matrix is built.
+
+    B14c0: the one-sided variation-of-parameters kernel is used on the
+    complement of phi (the kernel of L).  S is its symmetric part projected
+    off phi by rank-one updates, and only its k largest mu are computed, which
+    are the lowest k eigenvalues since L is positive on that complement.
     """
     _check_case(case_tag)
     B, c = CASE_PARAMS[case_tag]
     if B != 0.25:
         raise ValueError("eig_green covers the B = 1/4 cases")
+    if n < 2:
+        raise ValueError(f"n = {n}: eig_green needs at least 2 mesh points")
     op = make_operator(case_tag, 31)
     xr = op.profile.half_width
     x, w = _graded_mesh(xr, n)
     sw = np.sqrt(w)
     if case_tag in ("B14c1", "B14cm1"):
-        K = _kernel_matrix(case_tag, x)
-        S = (K * sw[None, :]) * sw[:, None]
-        S = 0.5 * (S + S.T)
+        _check_k(k, n)
+        k_diag, k_off = _kernel_inverse(case_tag, x, xr)
+        lams, vecs = eigh_tridiagonal(
+            k_diag / w, k_off / (sw[:-1] * sw[1:]), select="i", select_range=(0, k - 1)
+        )
     else:
-        # c = 0: one-sided variation-of-parameters kernel projected off phi
-        Z = 1.0
-        phi = np.sqrt(np.maximum(Z * np.cos(SQRT2 * x), 1e-300))
-        diff = x[:, None] - x[None, :]
-        K1 = -np.where(diff > 0, np.sin(SQRT2 * diff) / SQRT2, 0.0) / np.outer(phi, phi)
-        A = (K1 * sw[None, :]) * sw[:, None]
+        _check_k(k, n - 1)
+        # symmetric part of -sin(sqrt2 (x - y))/sqrt2 [x > y] / (phi(x) phi(y)), weighted
+        phi = np.sqrt(np.maximum(np.cos(SQRT2 * x), 1e-300))
+        s = sw / phi
+        S = np.subtract.outer(x, x)
+        np.abs(S, out=S)
+        S *= SQRT2
+        np.sin(S, out=S)
+        S *= (-0.5 / SQRT2) * s[:, None]
+        S *= s[None, :]
+        # P S P with P = I - u u^T, as S - u z^T - z u^T with z = S u - (u.S u / 2) u
         u = phi * sw
-        u = u / np.linalg.norm(u)
-        P = np.eye(n) - np.outer(u, u)
-        S = P @ A @ P
-        S = 0.5 * (S + S.T)
-    mu, vecs = np.linalg.eigh(S)
-    keep = np.abs(mu) > 1e-8 * np.max(np.abs(mu))
-    lams = 1.0 / mu[keep]
-    funcs = vecs[:, keep] / sw[:, None]
-    order = np.argsort(lams)
-    lams = lams[order][:k]
-    funcs = funcs[:, order][:, :k]
-    zero_counts = [count_zeros(funcs[:, j]) for j in range(funcs.shape[1])]
+        u /= np.linalg.norm(u)
+        z = S @ u
+        z -= 0.5 * (u @ z) * u
+        S -= np.outer(u, z)
+        S -= np.outer(z, u)
+        mu, vecs = eigh(S, subset_by_index=[n - k, n - 1])
+        lams, vecs = 1.0 / mu[::-1], vecs[:, ::-1]
+    funcs = vecs / sw[:, None]
+    zero_counts = [count_zeros(funcs[:, j]) for j in range(k)]
     return Spectrum(
         eigenvalues=lams,
         eigenfunctions=funcs,
         continuum_edge=None,
         zero_counts=zero_counts,
-        artifact_flags=[False] * lams.size,
+        artifact_flags=[False] * k,
         grid={"n": n, "x_r": xr, "method": "green"},
     )
 
@@ -460,6 +511,7 @@ def eig_b(bop: BOperator, k: int = 2) -> Spectrum:
     Symmetric second-order finite differences with Dirichlet ends, Richardson
     extrapolated across the full and half-resolution grids.
     """
+    _check_k(k, bop.ts[::2].size - 2)
 
     def levels(ts, V):
         h = ts[1] - ts[0]

@@ -126,6 +126,13 @@ class TestSpectrumCommand:
         code, _, _ = run(capsys, "spectrum", "--case", "B14c1", "--method", "b")
         assert code == 2
 
+    @pytest.mark.parametrize("method,case", [("green", "B14c1"), ("b", "B0c1")])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_rejects_eigenpair_count(self, capsys, method, case, k):
+        code, _, err = run(capsys, "spectrum", "--case", case, "--method", method, "--k", k)
+        assert code == 2
+        assert f"k = {k}" in err
+
 
 class TestEvolveCommand:
     def test_short_hydro_run(self, capsys, tmp_path):
@@ -172,6 +179,35 @@ class TestEvolveCommand:
         assert series[0] == "t,mass,hamiltonian,momentum"
         manifest = json.loads((tmp_path / "d_run.json").read_text())
         assert manifest["grid"]["L"] == pytest.approx(math.sqrt(2) * math.pi, rel=1e-12)
+
+    def test_dkdv_initial_profile_follows_p(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "evolve", "--model", "dkdv", "--ic", "compacton:B=0,c=1", "--p", "3",
+            "--n", "512", "--T", "0.001", "--out-prefix", "k", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        first = (tmp_path / "k_series.csv").read_text().split("\n")[1].split(",")
+        # the p = 3 compacton at B = 0, c = 1 carries mass 7.2 (the p = 4 one 4.44)
+        assert float(first[1]) == pytest.approx(7.2, rel=1e-4)
+
+    def test_dnls_box_follows_p(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "evolve", "--model", "dnls", "--ic", "periodic:B=-0.1", "--p", "3",
+            "--n", "128", "--T", "0.01", "--out-prefix", "d", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        period = profiles.build_periodic(profiles.ModelParams(3.0, 0.0, -0.1, 1.0), 16).period
+        manifest = json.loads((tmp_path / "d_run.json").read_text())
+        assert manifest["grid"]["L"] == pytest.approx(period, rel=1e-12)
+        assert abs(period - math.sqrt(2) * math.pi) > 1.0
+
+    def test_dnls_without_periodic_wave(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "evolve", "--model", "dnls", "--ic", "periodic", "--p", "3",
+            "--n", "128", "--T", "0.01", "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "no positive solution" in err
 
     def test_bad_initial_condition(self, capsys, tmp_path):
         code, _, _ = run(

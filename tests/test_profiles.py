@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,12 @@ class TestBuildCompacton:
     def test_rejects_nonzero_A(self):
         with pytest.raises(ProfileError):
             build_compacton(ModelParams(4, 1.0, 0.25, 1), 64)
+
+    def test_failed_quadrature_inversion_names_the_speed(self):
+        # the p = 7.9, m = 1 minimizer: the support is too wide for x(phi) to resolve
+        c = 3.7632844206113546e-39
+        with pytest.raises(ProfileError, match=re.escape(repr(c))):
+            build_compacton(ModelParams(7.9, 0, 0.0, c), 1024)
 
 
 class TestBuildPeriodic:

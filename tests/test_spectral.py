@@ -187,6 +187,74 @@ class TestEigenvalues:
         assert payload["zero_counts"] == [0]
 
 
+def dense_green_spectrum(case, n, k):
+    """Lowest k eigenpairs from the full dense eigensolve of the Nystrom matrix."""
+    xr = make_operator(case, 31).profile.half_width
+    x, w = spectral._graded_mesh(xr, n)
+    sw = np.sqrt(w)
+    if case == "B14c0":
+        phi = np.sqrt(np.maximum(np.cos(SQRT2 * x), 1e-300))
+        diff = x[:, None] - x[None, :]
+        K1 = -np.where(diff > 0, np.sin(SQRT2 * diff) / SQRT2, 0.0) / np.outer(phi, phi)
+        A = K1 * np.outer(sw, sw)
+        u = phi * sw / np.linalg.norm(phi * sw)
+        P = np.eye(n) - np.outer(u, u)
+        S = P @ A @ P
+    else:
+        S = spectral._kernel_matrix(case, x, xr) * np.outer(sw, sw)
+    mu, vecs = np.linalg.eigh(0.5 * (S + S.T))
+    keep = np.abs(mu) > 1e-8 * np.max(np.abs(mu))
+    lams = 1.0 / mu[keep]
+    order = np.argsort(lams)[:k]
+    return lams[order], (vecs[:, keep] / sw[:, None])[:, order]
+
+
+class TestGreenEigensolver:
+    @pytest.mark.parametrize("case", ["B14c1", "B14cm1", "B14c0"])
+    def test_matches_dense_eigensolve(self, case):
+        spec = eig_green(case, n=400, k=6)
+        lams, funcs = dense_green_spectrum(case, 400, 6)
+        assert np.max(np.abs(spec.eigenvalues - lams) / np.abs(lams)) < 1e-9
+        for j in range(6):
+            f, g = spec.eigenfunctions[:, j], funcs[:, j]
+            sign = math.copysign(1.0, f @ g)
+            assert np.max(np.abs(f - sign * g)) < 1e-9 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("case", ["B14c1", "B14cm1"])
+    @pytest.mark.parametrize("n", [2, 5, 24])
+    def test_tridiagonal_inverse_of_the_kernel_matrix(self, case, n):
+        xr = make_operator(case, 31).profile.half_width
+        x, _ = spectral._graded_mesh(xr, n)
+        K = spectral._kernel_matrix(case, x, xr)
+        diag, off = spectral._kernel_inverse(case, x, xr)
+        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.max(np.abs(T @ K - np.eye(n))) < 1e-10
+
+    def test_zero_speed_case(self):
+        spec = eig_green("B14c0", k=4)
+        assert np.all(spec.eigenvalues > 0)
+        assert spec.zero_counts == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("case,n,k", [
+        ("B14c1", 200, 0), ("B14c1", 200, -1), ("B14c1", 200, 201),
+        ("B14c0", 200, 200), ("B14cm1", 1, 1),
+    ])
+    def test_rejects_eigenpair_count(self, case, n, k):
+        with pytest.raises(ValueError):
+            eig_green(case, n=n, k=k)
+
+    def test_largest_eigenpair_count(self):
+        assert eig_green("B14c1", n=50, k=50).eigenvalues.size == 50
+        assert eig_green("B14c0", n=50, k=49).eigenvalues.size == 49
+
+    def test_conjugated_solver_rejects_eigenpair_count(self):
+        bop = b_transform(make_operator("B0c1"), n=101)
+        for k in (0, -1, 50):
+            with pytest.raises(ValueError):
+                eig_b(bop, k=k)
+        assert eig_b(bop, k=49).eigenvalues.size == 49
+
+
 class TestEndpointExponents:
     def test_translation_mode(self):
         assert frobenius_exponents(0.0) == (0, -1)

@@ -281,6 +281,8 @@ def integrate(
     Returns (times, states) at the requested sample times (t_eval), with
     dense output by cubic Hermite interpolation on accepted steps.
     """
+    if t_end < state0.t:
+        raise ValueError(f"t_end = {t_end} precedes the initial time {state0.t}")
     y = _pack(state0)
     t = state0.t
     if t_eval is None:
@@ -442,7 +444,9 @@ def run_model(
     config: IntegratorConfig = IntegratorConfig(),
     n_samples: int = 21,
 ):
-    """Integrate a model state and collect conservation diagnostics."""
+    """Integrate a model state and collect conservation diagnostics at n_samples times."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples = {n_samples}; the initial and final states need at least 2")
     t_eval = np.linspace(state0.t, t_end, n_samples)
     times, states = integrate(_model_rhs(state0, p, reg), state0, t_end, config, t_eval)
     series = DiagnosticsSeries()

@@ -184,20 +184,21 @@ def identity_residuals(profile: CompactonProfile):
     return energy, pohozaev
 
 
+def _combined_identity(p, energy, pohozaev):
+    """(2 energy + (p-4)/2 pohozaev)/(p+4), which expands to the combined identity."""
+    return (2 * energy + 0.5 * (p - 4) * pohozaev) / (p + 4)
+
+
 def pohozaev_residual(profile: CompactonProfile) -> float:
     """H - [c(p-8)/(2p+8) M + (p-4)/(p+4) * 2B x_r], the combined identity."""
-    params = profile.params
-    p, B, c = params.p, params.B, params.c
-    xr, M, S, Pp = compacton_integrals(params, panels=128)
-    H = 0.5 * S - Pp / p
-    return H - (c * (p - 8) / (2 * p + 8) * M + (p - 4) / (p + 4) * 2 * B * xr)
+    return _combined_identity(profile.params.p, *identity_residuals(profile))
 
 
 def report(field) -> FunctionalReport:
     base = field.base if isinstance(field, NlsProfile) else field
     if isinstance(base, CompactonProfile):
-        energy, _ = identity_residuals(base)
-        poho = pohozaev_residual(base)
+        energy, pohozaev = identity_residuals(base)
+        poho = _combined_identity(base.params.p, energy, pohozaev)
     else:
         energy = poho = 0.0
     return FunctionalReport(

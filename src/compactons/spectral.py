@@ -3,10 +3,19 @@
 The operator is L w = -phi (d^2/dx^2 + 2) (phi w) on the support interval of
 a p = 4 compacton phi.  Writing y = phi*w turns every question about L into
 one about y'' + 2y on (-x_r, x_r) with y = 0 at the ends, where the
-coefficients are trigonometric: rho = phi^2 = c + Z cos(sqrt(2) x).  The
-module exploits this throughout -- homogeneous solutions and Wronskians come
-from closed trig forms, the inverse is a tridiagonal solve in y, and the
-Schroedinger conjugate of the B = 0 case is handled on a truncated line.
+coefficients are trigonometric: rho = phi^2 = c + Z cos(sqrt(2) x) with
+Z = sqrt(4B + c^2) and half-width x_r = acos(-c/Z)/sqrt(2).  Every routine
+takes (c, Z, x_r) and phi from `_geometry` and `_phi`, and every mode with a
+closed form is computed from it:
+
+- homogeneous solutions and Wronskians are trig pairs y = phi*q (`_y_pair`);
+- the null mode of the Dirichlet matrix D2 + 2I that `green_apply` and
+  `green_orthogonalize` project off is the sampled sine with the eigenvalue
+  nearest zero (`_dirichlet_null_mode`);
+- the constraint modes of `evolve_linearized` are the lowest eigenvectors of
+  the symmetric tridiagonal cell matrix of L (`_constraint_vectors`);
+- the coordinate change of `b_transform` is x(t) = -sqrt2 arctan(sinh t),
+  which makes the conjugated potential exactly -sech^2 t.
 
 Four parameter cases are supported, tagged B0c1, B14c1, B14c0, B14cm1 for
 (B, c) = (0, 1), (1/4, 1), (1/4, 0), (1/4, -1).
@@ -17,11 +26,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, eigh_tridiagonal, lu_factor, lu_solve, solve_banded
 
 from .profiles import CompactonProfile, ModelParams, build_compacton
@@ -102,13 +110,11 @@ class GreenKernel:
     case_tag: str
     xs: np.ndarray
     wronskian_constant: float
-    q_minus: Optional[np.ndarray] = None
-    q_plus: Optional[np.ndarray] = None
-    q1: Optional[np.ndarray] = None
-    q2: Optional[np.ndarray] = None
-    q_star: Optional[np.ndarray] = None
-    phi: Optional[np.ndarray] = None
-    dq: dict = field(default_factory=dict, repr=False)
+    phi: np.ndarray
+    qa: np.ndarray
+    qb: np.ndarray
+    dqa: np.ndarray
+    dqb: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,75 +146,58 @@ def make_operator(case_tag: str, n: int = 4097) -> LinearizedOperator:
 
 
 # ---------------------------------------------------------------------------
-# closed trig forms of rho and the homogeneous y-solutions
+# the case geometry and the closed trig forms of phi and the homogeneous pairs
 
 
-def _rho_coeffs(case_tag):
+def _geometry(case_tag):
+    """(c, Z, x_r): rho = phi^2 = c + Z cos(sqrt2 x) on the support (-x_r, x_r)."""
+    _check_case(case_tag)
     B, c = CASE_PARAMS[case_tag]
-    return c, math.sqrt(4 * B + c * c)
+    Z = math.sqrt(4 * B + c * c)
+    return c, Z, math.acos(-c / Z) / SQRT2
 
 
-def _y_pair(case_tag, xr):
-    """(y_a, y_b, dy_a, dy_b, W) with y = phi*q for the case's homogeneous pair."""
-    if case_tag == "B0c1":
-        ya = lambda x: -np.sin(SQRT2 * x) / SQRT2  # phi * phi_x
-        dya = lambda x: -np.cos(SQRT2 * x)
-        yb = lambda x: np.cos(SQRT2 * x) / 2  # phi * (phi - 1/phi)/2
-        dyb = lambda x: -SQRT2 * np.sin(SQRT2 * x) / 2
-        W = 0.5
-    elif case_tag == "B14c0":
-        ya = lambda x: np.cos(SQRT2 * x)  # phi * phi
-        dya = lambda x: -SQRT2 * np.sin(SQRT2 * x)
-        yb = lambda x: np.sin(SQRT2 * x) / SQRT2  # phi * q_star
-        dyb = lambda x: np.cos(SQRT2 * x)
-        W = 1.0
-    else:
-        ya = lambda x: np.sin(SQRT2 * (x + xr)) / SQRT2  # phi * q_minus
-        dya = lambda x: np.cos(SQRT2 * (x + xr))
-        yb = lambda x: np.sin(SQRT2 * (x - xr)) / SQRT2  # phi * q_plus
-        dyb = lambda x: np.cos(SQRT2 * (x - xr))
-        W = math.sin(2 * SQRT2 * xr) / SQRT2
-    return ya, yb, dya, dyb, W
+def _phi(case_tag, x):
+    """phi(x) = sqrt(rho(x)), floored so that 1/phi stays finite at the endpoints."""
+    c, Z, _ = _geometry(case_tag)
+    return np.sqrt(np.maximum(c + Z * np.cos(SQRT2 * x), 1e-300))
+
+
+def _y_pair(case_tag, x, xr):
+    """(y_a, y_b, y_a', y_b', W) on x, with y = phi*q for the case's homogeneous pair."""
+    s = SQRT2 * x
+    if case_tag == "B0c1":  # phi * phi_x and phi * (phi - 1/phi)/2
+        return -np.sin(s) / SQRT2, np.cos(s) / 2, -np.cos(s), -SQRT2 * np.sin(s) / 2, 0.5
+    if case_tag == "B14c0":  # phi * phi and phi * q_star
+        return np.cos(s), np.sin(s) / SQRT2, -SQRT2 * np.sin(s), np.cos(s), 1.0
+    # phi * q_- and phi * q_+, vanishing at -x_r and x_r respectively
+    sm, sp = SQRT2 * (x + xr), SQRT2 * (x - xr)
+    W = math.sin(2 * SQRT2 * xr) / SQRT2
+    return np.sin(sm) / SQRT2, np.sin(sp) / SQRT2, np.cos(sm), np.cos(sp), W
 
 
 def homogeneous_solutions(case_tag: str, n: int = 4097) -> GreenKernel:
     """Sampled homogeneous pair of the case, with its constant modified Wronskian.
 
-    B0c1 stores (q1, q2) = (phi_x, (phi - 1/phi)/2) with W = 1/2; the B = 1/4
-    moving cases store q_pm = sin(sqrt2 (x -+ x_r))/(sqrt2 phi) with
-    W = -sqrt2 c/(1 + c^2); the c = 0 case stores (phi, q_star).
+    The samples are the n - 2 interior points of `make_operator(case_tag, n)`.
+    (qa, qb) is (phi_x, (phi - 1/phi)/2) with W = 1/2 for B0c1, (phi, q_star)
+    with q_star = sin(sqrt2 x)/(sqrt2 phi) and W = 1 for B14c0, and
+    (q_-, q_+) = sin(sqrt2 (x +- x_r))/(sqrt2 phi) with W = -sqrt2 c/(1 + c^2)
+    for B14c1 and B14cm1.  dqa, dqb use phi'/phi = rho'/(2 phi^2) in closed form.
     """
-    op = make_operator(case_tag, n)
-    xr = op.profile.half_width
-    x = op.xs_interior
-    phi = op.profile.phi[1:-1]
-    c, Z = _rho_coeffs(case_tag)
-    rho = c + Z * np.cos(SQRT2 * x)
-    drho = -SQRT2 * Z * np.sin(SQRT2 * x)
-    ya, yb, dya, dyb, W = _y_pair(case_tag, xr)
-
-    def to_q(yf, dyf):
-        q = yf(x) / phi
-        dq = (dyf(x) - yf(x) * drho / (2 * rho)) / phi
-        return q, dq
-
-    qa, dqa = to_q(ya, dya)
-    qb, dqb = to_q(yb, dyb)
-    dq = {"a": dqa, "b": dqb}
-    if case_tag == "B0c1":
-        return GreenKernel(case_tag, x, W, q1=qa, q2=qb, dq=dq)
-    if case_tag == "B14c0":
-        return GreenKernel(case_tag, x, W, phi=phi * 1.0, q_star=qb, dq=dq)
-    return GreenKernel(case_tag, x, W, q_minus=qa, q_plus=qb, dq=dq)
+    _, Z, xr = _geometry(case_tag)
+    x = np.linspace(-xr, xr, n)[1:-1]
+    phi = _phi(case_tag, x)
+    dlog = -SQRT2 * Z * np.sin(SQRT2 * x) / (2 * phi * phi)
+    ya, yb, dya, dyb, W = _y_pair(case_tag, x, xr)
+    return GreenKernel(
+        case_tag, x, W, phi, ya / phi, yb / phi, (dya - ya * dlog) / phi, (dyb - yb * dlog) / phi
+    )
 
 
 def wronskian_samples(kern: GreenKernel) -> np.ndarray:
     """phi^2 (q_a q_b' - q_a' q_b) at every sample; constant for true solutions."""
-    qa = kern.q1 if kern.q1 is not None else (kern.q_minus if kern.q_minus is not None else kern.phi)
-    qb = kern.q2 if kern.q2 is not None else (kern.q_plus if kern.q_plus is not None else kern.q_star)
-    c, Z = _rho_coeffs(kern.case_tag)
-    rho = c + Z * np.cos(SQRT2 * kern.xs)
-    return rho * (qa * kern.dq["b"] - kern.dq["a"] * qb)
+    return kern.phi**2 * (kern.qa * kern.dqb - kern.dqa * kern.qb)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +216,16 @@ def apply_L(op: LinearizedOperator, w: np.ndarray) -> np.ndarray:
     return -phi * (d2 + 2 * y)
 
 
-def _interior_grid(case_tag, m):
-    op = make_operator(case_tag, m + 2)
-    return op
+def _dirichlet_null_mode(m, h):
+    """Unit eigenvector of D2 + 2I (Dirichlet, m points, spacing h) nearest the null space.
+
+    The eigenpairs are 2 - (4/h^2) sin^2(j pi / (2(m+1))) and sin(j pi i/(m+1)),
+    i, j = 1..m; the mode with the smallest |eigenvalue| is returned.
+    """
+    idx = np.arange(1, m + 1)
+    lam = 2.0 - (4.0 / (h * h)) * np.sin(idx * np.pi / (2 * (m + 1))) ** 2
+    j = int(idx[np.argmin(np.abs(lam))])
+    return math.sqrt(2.0 / (m + 1)) * np.sin(j * np.pi * idx / (m + 1))
 
 
 def green_apply(case_tag: str, f: np.ndarray, enforce_orthogonality: bool = True) -> np.ndarray:
@@ -245,7 +241,7 @@ def green_apply(case_tag: str, f: np.ndarray, enforce_orthogonality: bool = True
     _check_case(case_tag)
     f = np.asarray(f, dtype=float)
     m = f.size
-    op = _interior_grid(case_tag, m)
+    op = make_operator(case_tag, m + 2)
     phi = op.profile.phi[1:-1]
     h = op.profile.xs[1] - op.profile.xs[0]
     r = -f / phi
@@ -260,11 +256,7 @@ def green_apply(case_tag: str, f: np.ndarray, enforce_orthogonality: bool = True
             raise ValueError("B0c1 right-hand side must be orthogonal to phi")
     resonant = case_tag in ("B0c1", "B14c0")
     if resonant:
-        # discrete null direction of the Dirichlet problem
-        vals, vecs = eigh_tridiagonal(main, off, select="v", select_range=(-0.5, 0.5))
-        j = int(np.argmin(np.abs(vals)))
-        null = vecs[:, j]
-        null /= np.linalg.norm(null)
+        null = _dirichlet_null_mode(m, h)
         # direction along which w is non-unique: null/phi (phi_x for B0c1, phi for c0)
         free_dir = null / phi
         comp = float(null @ r)
@@ -300,12 +292,9 @@ def _green_pair(case_tag, x, xr):
     """
     if case_tag not in ("B14c1", "B14cm1"):
         raise ValueError("explicit inverse kernel available for B14c1 and B14cm1 only")
-    c, Z = _rho_coeffs(case_tag)
-    phi = np.sqrt(np.maximum(c + Z * np.cos(SQRT2 * x), 1e-300))
-    qm = np.sin(SQRT2 * (x + xr)) / (SQRT2 * phi)
-    qp = np.sin(SQRT2 * (x - xr)) / (SQRT2 * phi)
-    W = math.sin(2 * SQRT2 * xr) / SQRT2
-    return qm, qp, W, phi
+    phi = _phi(case_tag, x)
+    ym, yp, _, _, W = _y_pair(case_tag, x, xr)
+    return ym / phi, yp / phi, W, phi
 
 
 def _kernel_matrix(case_tag, x, xr):
@@ -350,14 +339,10 @@ def green_orthogonalize(case_tag: str, f: np.ndarray) -> np.ndarray:
     m = f.size
     if case_tag not in ("B0c1", "B14c0"):
         return f
-    op = _interior_grid(case_tag, m)
+    op = make_operator(case_tag, m + 2)
     phi = op.profile.phi[1:-1]
     h = op.profile.xs[1] - op.profile.xs[0]
-    main = np.full(m, -2.0 / (h * h) + 2.0)
-    off = np.full(m - 1, 1.0 / (h * h))
-    vals, vecs = eigh_tridiagonal(main, off, select="v", select_range=(-0.5, 0.5))
-    null = vecs[:, int(np.argmin(np.abs(vals)))]
-    g = null / phi  # solvability functional: <g, f> = 0 required
+    g = _dirichlet_null_mode(m, h) / phi  # solvability functional: <g, f> = 0 required
     f -= (g @ f) / (g @ g) * g
     if case_tag == "B0c1":
         f -= (phi @ f) / (phi @ phi) * phi
@@ -368,8 +353,7 @@ def green_orthogonalize(case_tag: str, f: np.ndarray) -> np.ndarray:
 def hs_norm_bound(case_tag: str, levels=(256, 512, 1024)) -> list:
     """sup_x int |K(x, y)|^2 dy on successively refined uniform grids."""
     out = []
-    op = make_operator(case_tag, 31)
-    xr = op.profile.half_width
+    xr = _geometry(case_tag)[2]
     for n in levels:
         x = np.linspace(-xr, xr, n + 2)[1:-1]
         h = x[1] - x[0]
@@ -413,8 +397,7 @@ def eig_green(case_tag: str, n: int = 1600, k: int = 6) -> Spectrum:
         raise ValueError("eig_green covers the B = 1/4 cases")
     if n < 2:
         raise ValueError(f"n = {n}: eig_green needs at least 2 mesh points")
-    op = make_operator(case_tag, 31)
-    xr = op.profile.half_width
+    xr = _geometry(case_tag)[2]
     x, w = _graded_mesh(xr, n)
     sw = np.sqrt(w)
     if case_tag in ("B14c1", "B14cm1"):
@@ -426,7 +409,7 @@ def eig_green(case_tag: str, n: int = 1600, k: int = 6) -> Spectrum:
     else:
         _check_k(k, n - 1)
         # symmetric part of -sin(sqrt2 (x - y))/sqrt2 [x > y] / (phi(x) phi(y)), weighted
-        phi = np.sqrt(np.maximum(np.cos(SQRT2 * x), 1e-300))
+        phi = _phi(case_tag, x)
         s = sw / phi
         S = np.subtract.outer(x, x)
         np.abs(S, out=S)
@@ -462,7 +445,8 @@ def eig_green(case_tag: str, n: int = 1600, k: int = 6) -> Spectrum:
 def b_transform(op: LinearizedOperator, T: float = 12.0, n: int = 4097) -> BOperator:
     """Coordinate change t = -int_0^x 1/phi and conjugation to -d^2 + 1/4 + (15/4)V.
 
-    x(t) solves dx/dt = -phi(x), x(0) = 0; V(t) = -phi(x(t))^2 / 2.  The
+    For phi = sqrt2 cos(x/sqrt2), x(t) = -sqrt2 arctan(sinh t) solves
+    dx/dt = -phi(x), x(0) = 0, so V(t) = -phi(x(t))^2 / 2 = -sech^2 t.  The
     conjugator g(t) = sqrt(phi(x(t))/phi(0)) is stored alongside.
     """
     if op.case_tag != "B0c1":
@@ -470,19 +454,8 @@ def b_transform(op: LinearizedOperator, T: float = 12.0, n: int = 4097) -> BOper
     if n % 2 == 0:
         raise ValueError("n must be odd so the grid contains t = 0")
     ts = np.linspace(-T, T, n)
-    t_half = ts[ts >= 0]
-    sol = solve_ivp(
-        lambda t, xv: [-_phi01(xv[0])],
-        (0.0, T),
-        [0.0],
-        t_eval=t_half,
-        rtol=1e-12,
-        atol=1e-14,
-        method="DOP853",
-    )
-    x_half = sol.y[0]
-    x_of_t = np.concatenate((-x_half[1:][::-1], x_half))
-    phi_t = np.array([_phi01(x) for x in x_of_t])
+    x_of_t = -SQRT2 * np.arctan(np.sinh(ts))
+    phi_t = op.profile(x_of_t)
     V = -0.5 * phi_t**2
     if abs(V[-1]) > 1e-8:
         raise ValueError(f"truncation T = {T} too small: |V(T)| = {abs(V[-1]):.2e} > 1e-8")
@@ -496,13 +469,6 @@ def b_transform(op: LinearizedOperator, T: float = 12.0, n: int = 4097) -> BOper
         conjugator=g,
         x_of_t=x_of_t,
     )
-
-
-def _phi01(x):
-    xr = math.pi / SQRT2
-    if abs(x) >= xr:
-        return 0.0
-    return SQRT2 * math.cos(x / SQRT2)
 
 
 def eig_b(bop: BOperator, k: int = 2) -> Spectrum:
@@ -543,14 +509,12 @@ def eig_b(bop: BOperator, k: int = 2) -> Spectrum:
 
 def frobenius_exponents(lam):
     """Both roots of alpha^2 + alpha + lambda = 0, larger real part first."""
-    disc = cmath.sqrt(1 - 4 * lam)
+    disc = cmath.sqrt(1 - 4 * lam)  # principal root: Re(disc) >= 0
     a1 = (-1 + disc) / 2
     a2 = (-1 - disc) / 2
     if a1.imag == 0:
-        a1, a2 = a1.real, a2.real
-    return (a1, a2) if (a1.real if isinstance(a1, complex) else a1) >= (
-        a2.real if isinstance(a2, complex) else a2
-    ) else (a2, a1)
+        return a1.real, a2.real
+    return a1, a2
 
 
 def count_zeros(samples: np.ndarray) -> int:
@@ -577,20 +541,20 @@ def energy_form(op: LinearizedOperator, w: np.ndarray) -> float:
 
 
 def _cell_operator(case_tag, N):
-    """Cell-centered grid and the symmetric matrix of L with zero-extension BCs."""
-    op = make_operator(case_tag, 31)
-    xr = op.profile.half_width
+    """Cell-centered grid and the bands of the symmetric tridiagonal matrix of L.
+
+    The boundary condition is zero extension: (D2 y)_j uses the ghost values
+    y_{-1} = -y_0, y_N = -y_{N-1}, so y = 0 at the faces.
+    """
+    xr = _geometry(case_tag)[2]
     h = 2 * xr / N
     x = -xr + (np.arange(N) + 0.5) * h
-    c, Z = _rho_coeffs(case_tag)
-    rho = np.maximum(c + Z * np.cos(SQRT2 * x), 0.0)
-    phi = np.sqrt(rho)
-    # (D2 y)_j with ghost values y_{-1} = -y_0, y_N = -y_{N-1} (y = 0 at the faces)
+    phi = _phi(case_tag, x)
     main = np.full(N, -3.0)
     main[1:-1] = -2.0
-    D2 = (np.diag(main) + np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)) / (h * h)
-    L = -(phi[:, None] * (D2 + 2 * np.eye(N)) * phi[None, :])
-    return x, h, phi, L, xr
+    diag = -(phi * (main / (h * h) + 2.0) * phi)
+    off = -(phi[:-1] * (1.0 / (h * h)) * phi[1:])
+    return x, h, diag, off, xr
 
 
 def _transport_matrix(N, h):
@@ -601,35 +565,26 @@ def _transport_matrix(N, h):
     return D1
 
 
-def _constraint_vectors(case_tag, L, phi, h):
+def _constraint_vectors(case_tag, diag, off):
     """Discrete eigenvectors of L standing in for phi (and phi_x for B0c1).
 
-    Using the matrix eigenvectors instead of profile samples makes the
-    multiplier-enforced constraints energy-neutral: for an eigenvector e,
-    <L v, e> = lambda <v, e> = 0 on the constrained subspace, so the
-    enforcement never feeds the quadratic form.
+    They are the lowest eigenvectors of the tridiagonal cell matrix, next to
+    the eigenvalues -2c of phi (and 0 of phi_x for B0c1).  Using the matrix
+    eigenvectors instead of profile samples makes the multiplier-enforced
+    constraints energy-neutral: for an eigenvector e, <L v, e> = lambda <v, e>
+    = 0 on the constrained subspace, so the enforcement never feeds the
+    quadratic form.
     """
-    c = CASE_PARAMS[case_tag][1]
-    vals, vecs = np.linalg.eigh(0.5 * (L + L.T))
-    targets = [-2.0 * c]
-    if case_tag == "B0c1":
-        targets.append(0.0)
-    out = []
-    used = set()
-    for t in targets:
-        order = np.argsort(np.abs(vals - t))
-        j = next(int(i) for i in order if int(i) not in used)
-        used.add(j)
-        out.append(vecs[:, j])
-    return out
+    k = 2 if case_tag == "B0c1" else 1
+    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    return list(vecs.T)
 
 
 def constrain_initial(case_tag: str, v0: np.ndarray) -> np.ndarray:
     """Project initial data onto the orthogonality constraints of the evolution."""
-    _check_case(case_tag)
     v0 = np.asarray(v0, dtype=float).copy()
-    x, h, phi, L, xr = _cell_operator(case_tag, v0.size)
-    for e in _constraint_vectors(case_tag, L, phi, h):
+    _, _, diag, off, _ = _cell_operator(case_tag, v0.size)
+    for e in _constraint_vectors(case_tag, diag, off):
         v0 -= (v0 @ e) * e
     return v0
 
@@ -653,14 +608,18 @@ def evolve_linearized(
     projection of the generator, which keeps the constraints to rounding
     error without disturbing the energy identity.
     """
-    _check_case(op.case_tag)
-    x, h, phi, L, xr = _cell_operator(op.case_tag, N)
+    if t_end < 0:
+        raise ValueError(f"t_end = {t_end} is negative; the evolution runs forward from t = 0")
+    if record_every < 1:
+        raise ValueError(f"record_every = {record_every}; it must be at least 1")
+    x, h, diag, off, xr = _cell_operator(op.case_tag, N)
     v0 = np.asarray(v0, dtype=float)
     if v0.size != N:
         raise ValueError(f"initial data must have {N} cell samples")
     if dt is None:
         dt = 1e-3 * 2 * xr
-    cons = _constraint_vectors(op.case_tag, L, phi, h)
+    cons = _constraint_vectors(op.case_tag, diag, off)
+    L = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     for e in cons:
         if abs(v0 @ e) > 1e-8 * np.linalg.norm(v0):
             raise ValueError("initial data violates an orthogonality constraint")

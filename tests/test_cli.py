@@ -224,3 +224,23 @@ class TestEvolveCommand:
         assert code == 0
         header = (tmp_path / "lin_series.csv").read_text().split("\n", 1)[0]
         assert header == "t,energy_H,flux_upsilon,ortho_phi,ortho_phix"
+
+    @pytest.mark.parametrize("argv", [
+        ("--model", "dkdv", "--ic", "compacton:B=0,c=1,x0=-5", "--n", "256", "--T", "-1", "--snapshots", "5"),
+        ("--model", "dkdv", "--ic", "compacton:B=0,c=1,x0=-5", "--n", "256", "--T", "0.01", "--snapshots", "1"),
+        ("--model", "dkdv", "--ic", "compacton:B=0,c=1,x0=-5", "--n", "256", "--T", "0.01", "--snapshots", "0"),
+        ("--model", "linear", "--ic", "case:case=B0c1", "--T", "-1"),
+    ], ids=["negative-time", "one-snapshot", "no-snapshots", "linear-negative-time"])
+    def test_rejects_time_range(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, "evolve", *argv, "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_zero_time(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "evolve", "--model", "dkdv", "--ic", "compacton:B=0,c=1,x0=-5",
+            "--n", "256", "--T", "0", "--snapshots", "3", "--out-prefix", "z", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "z_run.json").read_text())["final_time"] == 0.0

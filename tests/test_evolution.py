@@ -216,6 +216,11 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(lambda y: np.full_like(y, np.nan), state, 1.0, IntegratorConfig())
 
+    def test_backward_time_rejected(self):
+        state = FieldState("real", PeriodicGrid(2 * math.pi, 16), np.ones(16), 1.0)
+        with pytest.raises(ValueError):
+            integrate(lambda y: -y, state, 0.5)
+
 
 class TestInitialConditions:
     def test_compacton_peak(self):
@@ -314,6 +319,12 @@ class TestRunModelAndArtifacts:
         path = tmp_path / "c.csv"
         write_snapshot_csv(state, path)
         assert path.read_text().split("\n", 1)[0] == "x,re,im"
+
+    @pytest.mark.parametrize("n_samples", [1, 0])
+    def test_needs_two_samples(self, n_samples):
+        state = initial_condition("gaussian", PeriodicGrid(40.0, 64))
+        with pytest.raises(ValueError):
+            run_model(state, 0.1, n_samples=n_samples)
 
     def test_regularization_validation(self):
         with pytest.raises(ValueError):

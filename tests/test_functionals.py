@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from compactons import functionals
+from compactons import functionals, profiles
 from compactons.functionals import (
     escaping_sequence,
     hamiltonian,
@@ -118,6 +118,29 @@ class TestIdentities:
         assert rep.hamiltonian == pytest.approx(-SQRT2PI / 4, rel=1e-6)
         assert abs(rep.pohozaev_residual) < 1e-8
         assert abs(rep.energy_identity_residual) < 1e-8
+
+    def test_report_integrates_once(self, monkeypatch):
+        prof = build_compacton(ModelParams(5, 0, 0.1, 1), 1025)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return compacton_integrals(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "compacton_integrals", counted)
+        monkeypatch.setattr(profiles, "compacton_integrals", counted)
+        rep = report(prof)
+        assert len(calls) == 1
+        assert rep.pohozaev_residual == pytest.approx(pohozaev_residual(prof), abs=1e-15)
+
+    @pytest.mark.parametrize("p", [2.5, 3, 3.5, 4, 5, 6, 7])
+    @pytest.mark.parametrize("B,c", [(0.0, 1.0), (0.1, 1.0), (0.25, 0.3), (0.5, -0.2)])
+    def test_combined_identity_from_the_two_residuals(self, p, B, c):
+        # the combined identity written out directly in x_r, M, S and int Phi^p
+        params = ModelParams(p, 0, B, c)
+        xr, M, S, Pp = compacton_integrals(params, panels=128)
+        direct = (0.5 * S - Pp / p) - (c * (p - 8) / (2 * p + 8) * M + (p - 4) / (p + 4) * 2 * B * xr)
+        assert pohozaev_residual(build_compacton(params, 257)) == pytest.approx(direct, abs=1e-13)
 
     def test_report_json_keys(self):
         prof = build_compacton(ModelParams(4, 0, 0, 1), 257)

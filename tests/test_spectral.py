@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 
 from compactons import spectral
 from compactons.spectral import (
@@ -84,9 +86,7 @@ class TestHomogeneousSolutions:
     def test_pairs_solve_the_operator(self, case):
         op = make_operator(case, 4097)
         kern = homogeneous_solutions(case, 4097)
-        for q in (kern.q1, kern.q2, kern.q_minus, kern.q_plus, kern.q_star, kern.phi):
-            if q is None:
-                continue
+        for q in (kern.qa, kern.qb):
             res = apply_L(op, q)
             interior = slice(40, -40)  # away from the degenerate endpoints
             assert np.max(np.abs(res[interior])) < 1e-6 * np.max(np.abs(q[interior]))
@@ -138,7 +138,7 @@ class TestSchroedingerConjugate:
     def test_potential_is_a_squared_secant(self):
         # the coordinate change linearizes to V(t) = -sech(t)^2 exactly
         bop = b_transform(make_operator("B0c1"))
-        assert np.max(np.abs(bop.potential + 1 / np.cosh(bop.ts) ** 2)) < 1e-9
+        assert np.max(np.abs(bop.potential + 1 / np.cosh(bop.ts) ** 2)) < 1e-13
 
     def test_exponential_decay(self):
         bop = b_transform(make_operator("B0c1"))
@@ -330,3 +330,123 @@ class TestLinearizedEvolution:
         write_trajectory_csv(traj, path)
         header = path.read_text().split("\n", 1)[0]
         assert header == "t,energy_H,flux_upsilon,ortho_phi,ortho_phix"
+
+
+def eigensolver_null_mode(case, m):
+    """Unit null mode of the Dirichlet matrix D2 + 2I from a windowed tridiagonal eigensolve."""
+    op = make_operator(case, m + 2)
+    h = op.profile.xs[1] - op.profile.xs[0]
+    main = np.full(m, -2.0 / (h * h) + 2.0)
+    off = np.full(m - 1, 1.0 / (h * h))
+    vals, vecs = eigh_tridiagonal(main, off, select="v", select_range=(-0.5, 0.5))
+    null = vecs[:, int(np.argmin(np.abs(vals)))]
+    return null / np.linalg.norm(null), h
+
+
+def dense_constraint_vectors(case, N):
+    """Eigenvectors of the dense cell matrix of L nearest the eigenvalues -2c (and 0 for B0c1)."""
+    B, c = CASE_PARAMS[case]
+    xr = make_operator(case, 31).profile.half_width
+    h = 2 * xr / N
+    x = -xr + (np.arange(N) + 0.5) * h
+    phi = np.sqrt(np.maximum(c + math.sqrt(4 * B + c * c) * np.cos(SQRT2 * x), 0.0))
+    main = np.full(N, -3.0)
+    main[1:-1] = -2.0
+    D2 = (np.diag(main) + np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)) / (h * h)
+    L = -(phi[:, None] * (D2 + 2 * np.eye(N)) * phi[None, :])
+    vals, vecs = np.linalg.eigh(0.5 * (L + L.T))
+    targets = [-2.0 * c] + ([0.0] if case == "B0c1" else [])
+    out, used = [], set()
+    for t in targets:
+        j = next(int(i) for i in np.argsort(np.abs(vals - t)) if int(i) not in used)
+        used.add(j)
+        out.append(vecs[:, j])
+    return out
+
+
+def integrated_coordinate_change(T, n):
+    """x(t) from a DOP853 integration of dx/dt = -phi(x), x(0) = 0, mirrored to t < 0."""
+
+    def phi(x):
+        return SQRT2 * math.cos(x / SQRT2) if abs(x) < math.pi / SQRT2 else 0.0
+
+    ts = np.linspace(-T, T, n)
+    sol = solve_ivp(
+        lambda t, xv: [-phi(xv[0])], (0.0, T), [0.0],
+        t_eval=ts[ts >= 0], rtol=1e-12, atol=1e-14, method="DOP853",
+    )
+    x_half = sol.y[0]
+    return np.concatenate((-x_half[1:][::-1], x_half))
+
+
+def assert_equal_up_to_sign(a, b, tol):
+    sign = math.copysign(1.0, a @ b)
+    assert np.max(np.abs(a - sign * b)) < tol
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("case", ["B0c1", "B14c0"])
+    @pytest.mark.parametrize("m", [255, 2047])
+    def test_null_mode_matches_the_eigensolver(self, case, m):
+        ref, h = eigensolver_null_mode(case, m)
+        assert_equal_up_to_sign(spectral._dirichlet_null_mode(m, h), ref, 1e-11)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    @pytest.mark.parametrize("N", [64, 256, 512])
+    def test_constraint_modes_match_the_dense_eigensolve(self, case, N):
+        _, _, diag, off, _ = spectral._cell_operator(case, N)
+        got = spectral._constraint_vectors(case, diag, off)
+        ref = dense_constraint_vectors(case, N)
+        assert len(got) == len(ref)
+        for e, r in zip(got, ref):
+            assert_equal_up_to_sign(e, r, 1e-11)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_half_width_matches_the_profile(self, case):
+        xr = spectral._geometry(case)[2]
+        assert xr == pytest.approx(make_operator(case).profile.half_width, rel=1e-15, abs=0)
+
+    def test_coordinate_change_matches_integration(self):
+        bop = b_transform(make_operator("B0c1"))
+        ref = integrated_coordinate_change(bop.truncation, bop.ts.size)
+        assert np.max(np.abs(bop.x_of_t - ref)) < 1e-10
+
+
+def resting_operator():
+    return make_operator("B0c1", 257)
+
+
+GUARDED_CALLS = [
+    pytest.param(lambda: make_operator("B1c1"), id="make_operator-unknown-case"),
+    pytest.param(lambda: green_apply("B1c1", np.ones(10)), id="green_apply-unknown-case"),
+    pytest.param(lambda: b_transform(make_operator("B14c1", 257)), id="b_transform-moving-case"),
+    pytest.param(lambda: b_transform(resting_operator(), n=4096), id="b_transform-even-n"),
+    pytest.param(lambda: hs_norm_bound("B0c1"), id="hs_norm_bound-B0c1"),
+    pytest.param(lambda: hs_norm_bound("B14c0"), id="hs_norm_bound-B14c0"),
+    pytest.param(lambda: eig_green("B0c1"), id="eig_green-B0c1"),
+    pytest.param(lambda: apply_L(resting_operator(), np.zeros(254)), id="apply_L-sample-count"),
+    pytest.param(
+        lambda: evolve_linearized(resting_operator(), np.zeros(100), N=128),
+        id="evolve_linearized-sample-count",
+    ),
+    pytest.param(
+        lambda: evolve_linearized(resting_operator(), np.zeros(128), t_end=-1.0, N=128),
+        id="evolve_linearized-negative-time",
+    ),
+    pytest.param(
+        lambda: evolve_linearized(resting_operator(), np.zeros(128), N=128, record_every=0),
+        id="evolve_linearized-record-every",
+    ),
+    pytest.param(lambda: green_apply("B14c0", np.ones(255)), id="green_apply-B14c0-solvability"),
+]
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize("call", GUARDED_CALLS)
+    def test_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    def test_zero_time_is_valid(self):
+        traj = evolve_linearized(resting_operator(), np.zeros(128), t_end=0.0, N=128)
+        assert np.all(traj.times == 0.0)

@@ -87,6 +87,11 @@ def _cmd_profile(args):
 # functionals
 
 
+# what write_manifest records: the parameters and the sample count (v is optional)
+_NUMBER = (int, float)
+_MANIFEST_FIELDS = {"p": _NUMBER, "A": _NUMBER, "B": _NUMBER, "c": _NUMBER, "n": int}
+
+
 def _read_profile_csv(path):
     path = Path(path)
     if not path.exists():
@@ -118,6 +123,12 @@ def _read_profile_csv(path):
     if manifest_path.exists():
         with open(manifest_path) as fh:
             manifest = json.load(fh)
+        fields = manifest if isinstance(manifest, dict) else {}
+        bad = [k for k, kind in _MANIFEST_FIELDS.items() if not isinstance(fields.get(k), kind)]
+        if fields.get("v") is not None and not isinstance(fields["v"], _NUMBER):
+            bad.append("v")
+        if bad:
+            raise CliError(f"{manifest_path}: manifest lacks a number for {', '.join(bad)}")
     return cols, manifest
 
 
@@ -408,7 +419,6 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
     try:
         artifacts = args.func(args)
     except CliError as exc:
@@ -421,7 +431,6 @@ def main(argv=None) -> int:
     if missing:
         print(f"error: missing artifacts {missing}", file=sys.stderr)
         return EXIT_RUNTIME
-    _ = time.time() - t0
     return EXIT_OK
 
 

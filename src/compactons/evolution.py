@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import functionals
-from .profiles import ModelParams, build_compacton, build_periodic
+from .profiles import ModelParams, _write_csv, build_compacton, build_periodic
 
 __all__ = [
     "PeriodicGrid",
@@ -461,28 +461,21 @@ def run_model(
 
 
 def write_series_csv(series: DiagnosticsSeries, path):
-    with open(path, "w") as fh:
-        fh.write("t,mass,hamiltonian,momentum\n")
-        for t, M, H, Pm in zip(series.times, series.mass, series.hamiltonian, series.momentum):
-            fh.write(f"{float(t)!r},{float(M)!r},{float(H)!r},{float(Pm)!r}\n")
+    _write_csv(
+        path, "t,mass,hamiltonian,momentum",
+        series.times, series.mass, series.hamiltonian, series.momentum,
+    )
 
 
 def write_snapshot_csv(state: FieldState, path):
     xs = state.grid.xs
-    with open(path, "w") as fh:
-        if state.kind == "real":
-            fh.write("x,u\n")
-            for x, u in zip(xs, state.data):
-                fh.write(f"{float(x)!r},{float(u)!r}\n")
-        elif state.kind == "complex":
-            fh.write("x,re,im\n")
-            for x, v in zip(xs, state.data):
-                fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
-        else:
-            fh.write("x,rho,u\n")
-            rho, u = state.data
-            for x, r, w in zip(xs, rho, u):
-                fh.write(f"{float(x)!r},{float(r)!r},{float(w)!r}\n")
+    if state.kind == "real":
+        _write_csv(path, "x,u", xs, state.data)
+    elif state.kind == "complex":
+        v = np.asarray(state.data)
+        _write_csv(path, "x,re,im", xs, v.real, v.imag)
+    else:
+        _write_csv(path, "x,rho,u", xs, *state.data)
 
 
 def write_run_manifest(path, model, grid: PeriodicGrid, reg, config, wall_time, state: FieldState):

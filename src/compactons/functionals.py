@@ -386,13 +386,14 @@ def escaping_sequence(M0, K0, p, R, eps, chi=None, chi_deriv=None, n_bump=4097):
         phi.xs, rho_phi, np.zeros_like(rho_phi), p, rho_x=2 * phi.phi_dphi
     )
 
+    energy, pohozaev = identity_residuals(phi)
     rep = FunctionalReport(
         mass=M_phi + M_b,
         hamiltonian=H_phi + H_b,
         momentum_P=0.0,
         momentum_K=K_b,
-        pohozaev_residual=pohozaev_residual(phi),
-        energy_identity_residual=identity_residuals(phi)[0],
+        pohozaev_residual=_combined_identity(p, energy, pohozaev),
+        energy_identity_residual=energy,
     )
     xs_all = np.concatenate((phi.xs, xs_b))
     rho_all = np.concatenate((rho_phi, rho_b))

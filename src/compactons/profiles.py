@@ -168,15 +168,9 @@ def first_integral(phi_val: float, params: ModelParams):
     if np.any(phi_val == 0) and (params.B != 0 or params.A != 0):
         raise ZeroDivisionError("F(0) undefined unless A = B = 0")
     p, A, B, c = params.p, params.A, params.B, params.c
-    with np.errstate(divide="ignore"):
-        out = np.where(
-            phi_val > 0,
-            2 * B / np.where(phi_val > 0, phi_val, 1.0) ** 2
-            + 2 * A / np.where(phi_val > 0, phi_val, 1.0)
-            + c
-            - (2 / p) * phi_val ** (p - 2),
-            c - (2 / p) * (phi_val ** (p - 2) if p != 2 else 1.0),
-        )
+    # at phi = 0 (where A = B = 0) the singular terms vanish and 0**0 = 1 covers p = 2
+    safe = np.where(phi_val > 0, phi_val, 1.0)
+    out = 2 * B / safe**2 + 2 * A / safe + c - (2 / p) * phi_val ** (p - 2)
     if out.ndim == 0:
         return float(out)
     return out
@@ -209,12 +203,9 @@ def stationary_point(A: float, c: float, p: float) -> Optional[float]:
     zs = np.linspace(0.0, z_hi, _SCAN_POINTS)
     hs = h(zs[1:])
     sign_changes = np.nonzero(np.diff(np.sign(hs)))[0]
-    if h(zs[1]) <= 0 and not sign_changes.size:
+    if not sign_changes.size:  # h(z_hi) <= 0, so h > 0 anywhere on the grid means a change
         return None
-    if sign_changes.size:
-        a, b = zs[1:][sign_changes[0]], zs[1:][sign_changes[0] + 1]
-    else:
-        a, b = zs[1], z_hi
+    a, b = zs[1:][sign_changes[0]], zs[1:][sign_changes[0] + 1]
     if h(a) == 0:
         return float(a)
     root = brentq(h, a, b, xtol=_ROOT_TOL, rtol=4 * np.finfo(float).eps)
@@ -228,25 +219,31 @@ def stationary_point(A: float, c: float, p: float) -> Optional[float]:
     return float(root)
 
 
-def _largest_positive_root_F(params: ModelParams) -> float:
-    """Largest phi > 0 with F(phi) = 0 (the profile maximum)."""
-    p, A, B, c = params.p, params.A, params.B, params.c
+def _turning_point(params: ModelParams, grid: np.ndarray, last: bool, no_region: str) -> float:
+    """Root of F where the F > 0 samples of grid end (last) or begin (not last)."""
 
     def F(s):
         return first_integral(s, params)
 
-    hi = max(1.0, (p * (abs(c) + 2 * abs(A) + 2 * abs(B) + 1)) ** (1.0 / max(p - 2, 1e-9))) * 2
-    while F(hi) > 0:
-        hi *= 2
-    lo_grid = np.linspace(hi * 1e-9, hi, 4 * _SCAN_POINTS)
-    vals = F(lo_grid)
-    pos = np.nonzero(vals > 0)[0]
+    pos = np.nonzero(F(grid) > 0)[0]
     if not pos.size:
-        raise ProfileError("F has no positive region; no positive profile exists")
-    i = pos[-1]
-    if i + 1 >= lo_grid.size:
-        raise ProfileError("failed to bracket the profile maximum")
-    return float(brentq(F, lo_grid[i], lo_grid[i + 1], xtol=_ROOT_TOL))
+        raise ProfileError(no_region)
+    i = pos[-1] + 1 if last else pos[0]  # F(grid[i - 1]) > 0 >= F(grid[i])
+    if not 0 < i < grid.size:
+        edge = "the profile maximum" if last else "the lower turning point"
+        raise ProfileError(f"failed to bracket {edge}")
+    return float(brentq(F, grid[i - 1], grid[i], xtol=_ROOT_TOL))
+
+
+def _largest_positive_root_F(params: ModelParams) -> float:
+    """Largest phi > 0 with F(phi) = 0 (the profile maximum)."""
+    p, A, B, c = params.p, params.A, params.B, params.c
+    hi = max(1.0, (p * (abs(c) + 2 * abs(A) + 2 * abs(B) + 1)) ** (1.0 / max(p - 2, 1e-9))) * 2
+    while first_integral(hi, params) > 0:
+        hi *= 2
+    grid = np.linspace(hi * 1e-9, hi, 4 * _SCAN_POINTS)
+    no_region = "F has no positive region; no positive profile exists"
+    return _turning_point(params, grid, True, no_region)
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +252,30 @@ def _largest_positive_root_F(params: ModelParams) -> float:
 
 def classify(params: ModelParams) -> SolutionClass:
     """Classify the positive orbit of (phi')^2 = F(phi): Periodic, Front or Compacton."""
+    return _classify(params)[0]
+
+
+def _classify(params: ModelParams):
+    """(SolutionClass, phi_max): the class and the largest root of F (None for a Front)."""
     p, A, B, c = params.p, params.A, params.B, params.c
     if p <= 2:
         raise ProfileError("classification requires p > 2")
 
+    # otherwise B < 0, or B = 0 with A < 0, or A = B = 0 with c <= 0: level set bounded
     unbounded_at_zero = B > 0 or (B == 0 and A > 0) or (A == 0 and B == 0 and c > 0)
 
+    if unbounded_at_zero:
+        z = stationary_point(A, c, p)
+        if z is not None and _is_front(params, z):
+            return SolutionClass("Front"), None
+
+    try:
+        phi_max = _largest_positive_root_F(params)
+    except ProfileError:
+        raise ProfileError("F < 0 for all phi > 0: no positive solution") from None
+
     if not unbounded_at_zero:
-        # B < 0, or B = 0 with A < 0, or A = B = 0 with c <= 0: level set bounded
-        if _has_positive_region(params):
-            return SolutionClass("Periodic")
-        raise ProfileError("F < 0 for all phi > 0: no positive solution")
-
-    z = stationary_point(A, c, p)
-    if z is not None:
-        Fz = first_integral(z, params)
-        if abs(Fz) < 1e-10 * (1 + abs(c)) and _positive_below(params, z):
-            return SolutionClass("Front")
-
-    if not _has_positive_region(params):
-        raise ProfileError("F < 0 for all phi > 0: no positive solution")
-
+        return SolutionClass("Periodic"), phi_max
     if B > 0 and A != 0:
         edge = "B_pos_A_nonzero"
     elif B == 0 and A > 0:
@@ -284,20 +284,16 @@ def classify(params: ModelParams) -> SolutionClass:
         edge = "A_zero_B_pos"
     else:
         edge = "A_B_zero_c_pos"
-    return SolutionClass("Compacton", edge)
+    return SolutionClass("Compacton", edge), phi_max
 
 
-def _has_positive_region(params: ModelParams) -> bool:
-    try:
-        _largest_positive_root_F(params)
-        return True
-    except ProfileError:
+def _is_front(params: ModelParams, z: float) -> bool:
+    """F vanishes at the stationary point z and is nonnegative below it."""
+    tol = 1e-10 * (1 + abs(params.c))
+    if not abs(first_integral(z, params)) < tol:
         return False
-
-
-def _positive_below(params: ModelParams, z: float) -> bool:
     s = np.linspace(z * 1e-6, z * (1 - 1e-9), _SCAN_POINTS)
-    return bool(np.all(first_integral(s, params) > -1e-10 * (1 + abs(params.c))))
+    return bool(np.all(first_integral(s, params) > -tol))
 
 
 # ---------------------------------------------------------------------------
@@ -320,38 +316,59 @@ def _gauss_panels(f, bounds: np.ndarray, order: int = 8) -> np.ndarray:
 
 
 def _gauss_cumulative(g, u_max: float, m: int, order: int = 8):
-    """Cumulative integral of g on [0, u_max] at m+1 panel boundaries.
-
-    Returns (u_bounds, cumulative).
-    """
+    """(u_bounds, cumulative integral of g on [0, u_max]) at m+1 panel boundaries."""
     ub = np.linspace(0.0, u_max, m + 1)
     return ub, np.concatenate(([0.0], np.cumsum(_gauss_panels(g, ub, order))))
 
 
-def _compacton_g(params: ModelParams, phi_max: float):
+def _dx_du(params: ModelParams, phi0: float, sign: float):
+    """dx/du = 2u/sqrt(F) along phi = phi0 + sign*u^2, bounded at the turning point phi0."""
+
     def g(u):
-        phi = phi_max - u * u
-        F = first_integral(np.maximum(phi, 1e-300), params)
-        return 2 * u / np.sqrt(np.maximum(F, 1e-300))
+        return 2 * u / np.sqrt(np.maximum(first_integral(phi0 + sign * u * u, params), 1e-300))
 
     return g
 
 
+# ---------------------------------------------------------------------------
+# closed forms (p = 2, p = 4), support half-widths and compacton integrals
+
+
+def _p2_half_width(params: ModelParams) -> float:
+    """x_r = sqrt(2B)/(1 - c) of the p = 2 compacton phi^2 = (2B - (1 - c)^2 x^2)/(1 - c)."""
+    B, c = params.B, params.c
+    if not (B > 0 and c < 1):
+        raise ProfileError("p = 2 compactons require B > 0 and c < 1")
+    return math.sqrt(2 * B) / (1 - c)
+
+
+def _p4_rho(params: ModelParams):
+    """rho(x) = phi^2 = c + Z cos(sqrt2 x), Z = sqrt(4B + c^2), for p = 4 and A = 0."""
+    c = params.c
+    Z = math.sqrt(4 * params.B + c * c)
+
+    def rho(x):
+        return c + Z * np.cos(math.sqrt(2) * x)
+
+    return rho
+
+
+def _p4_half_width(params: ModelParams) -> float:
+    """First zero x_r = acos(-c/Z)/sqrt2 of the p = 4 rho (a compacton's half width)."""
+    c = params.c
+    return math.acos(-c / math.sqrt(4 * params.B + c * c)) / math.sqrt(2)
+
+
 def support_half_width(params: ModelParams) -> float:
     """Half-width x_r of the compacton support (A = 0 branch)."""
-    p, A, B, c = params.p, params.A, params.B, params.c
-    if A != 0:
+    if params.A != 0:
         raise ProfileError("support_half_width is defined on the A = 0 compacton branch")
-    if p == 2:
-        if not (B > 0 and c < 1):
-            raise ProfileError("p = 2 compactons require B > 0 and c < 1")
-        return math.sqrt(2 * B) / (1 - c)
+    if params.p == 2:
+        return _p2_half_width(params)
     if classify(params).tag != "Compacton":
         raise ProfileError("parameters do not lie in the compacton region")
-    if p == 4:
-        if B == 0:
-            return math.pi / math.sqrt(2)
-        return math.acos(-c / math.sqrt(4 * B + c * c)) / math.sqrt(2)
+    if params.p == 4:
+        return _p4_half_width(params)
     return compacton_integrals(params, panels=512)[0]
 
 
@@ -364,16 +381,17 @@ def compacton_integrals(params: ModelParams, panels: int = 64, order: int = 16):
     p = params.p
     if p == 2:
         B, c = params.B, params.c
-        xr = math.sqrt(2 * B) / (1 - c)
+        xr = _p2_half_width(params)
         M = (4.0 / 3.0) * (2 * B) ** 1.5 / (1 - c) ** 2
         # H = -(1+c)/4 M and H = S/2 - Pp/2 with Pp = int phi^2 = M
         S = 2 * (-(1 + c) / 4 * M) + M
         return xr, M, S, M
     phi_max = _largest_positive_root_F(params)
+    dx_du = _dx_du(params, phi_max, -1)
 
     def integrands(u):
         phi = phi_max - u * u
-        g = 2 * u / np.sqrt(np.maximum(first_integral(phi, params), 1e-300))
+        g = dx_du(u)
         return np.stack((g, phi**2 * g, flux_squared(phi, params) * g, phi**p * g))
 
     bounds = np.linspace(0.0, math.sqrt(phi_max), panels + 1)
@@ -385,55 +403,37 @@ def compacton_integrals(params: ModelParams, panels: int = 64, order: int = 16):
 # profile construction
 
 
-def _closed_form_p4(params: ModelParams):
-    B, c = params.B, params.c
-    Z = math.sqrt(4 * B + c * c)
-    xr = support_half_width(params)
-
-    def rho(x):
-        return c + Z * np.cos(math.sqrt(2) * x)
-
-    def phi_of_x(x):
-        inside = np.abs(x) <= xr
-        r = np.where(inside, rho(np.where(inside, x, 0.0)), 0.0)
-        return np.sqrt(np.maximum(r, 0.0))
-
-    return xr, rho, phi_of_x
-
-
 def _sample_even(xr: float, n: int, phi_half: Callable[[np.ndarray], np.ndarray]):
     """Uniform symmetric grid; compute the right half and mirror for exact evenness."""
     xs = np.linspace(-xr, xr, n)
-    half = xs[xs >= 0]
-    ph = phi_half(half)
-    m = n // 2
-    if n % 2:
-        phi = np.concatenate((ph[1:][::-1], ph))
-    else:
-        phi = np.concatenate((ph[::-1], ph))
-    assert phi.size == n
-    return xs, phi
+    ph = phi_half(xs[xs >= 0])
+    return xs, np.concatenate((ph[n % 2 :][::-1], ph))
+
+
+def _on_support(xr: float, phi_half: Callable[[np.ndarray], np.ndarray]):
+    """phi(x) = phi_half(|x|) on |x| <= xr and 0 outside; phi_half sees [0, xr] only."""
+
+    def phi_of_x(x):
+        ax = np.abs(np.asarray(x, dtype=float))
+        return np.maximum(np.where(ax <= xr, phi_half(np.minimum(ax, xr)), 0.0), 0.0)
+
+    return phi_of_x
+
+
+def _flux(params: ModelParams, xs: np.ndarray, phi: np.ndarray):
+    """(phi', phi*phi') of an even profile from G = (phi phi')^2; phi' is NaN where phi = 0."""
+    phi_dphi = -np.sign(xs) * np.sqrt(np.maximum(flux_squared(phi, params), 0.0))
+    dphi = np.where(phi > 0, phi_dphi / np.where(phi > 0, phi, 1.0), np.nan)
+    return dphi, phi_dphi
 
 
 def _finish_compacton(params, xr, xs, phi, closed_form, evaluator):
-    G = flux_squared(phi, params)
-    phi_dphi = -np.sign(xs) * np.sqrt(np.maximum(G, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dphi = np.where(phi > 0, phi_dphi / np.where(phi > 0, phi, 1.0), np.nan)
+    dphi, phi_dphi = _flux(params, xs, phi)
     # at the endpoints the derivative is finite only when B = 0 (A = 0, c > 0)
     if params.B == 0 and params.A == 0:
         dphi[0] = math.sqrt(max(params.c, 0.0))
         dphi[-1] = -math.sqrt(max(params.c, 0.0))
-    return CompactonProfile(
-        params=params,
-        half_width=xr,
-        xs=xs,
-        phi=phi,
-        dphi=dphi,
-        phi_dphi=phi_dphi,
-        closed_form=closed_form,
-        _eval=evaluator,
-    )
+    return CompactonProfile(params, xr, xs, phi, dphi, phi_dphi, closed_form, evaluator)
 
 
 def build_compacton(params: ModelParams, n: int = 1024) -> CompactonProfile:
@@ -444,28 +444,27 @@ def build_compacton(params: ModelParams, n: int = 1024) -> CompactonProfile:
     if A != 0:
         raise ProfileError("build_compacton covers the A = 0 branch; see build_compacton_general")
     if p == 2:
-        if not (B > 0 and c < 1):
-            raise ProfileError("p = 2 compactons require B > 0 and c < 1")
-        xr = math.sqrt(2 * B) / (1 - c)
+        xr = _p2_half_width(params)
         Y = 2 * B / (1 - c)
 
         def phi_of_x(x):
-            val = (c - 1) * x * x + Y
-            return np.sqrt(np.maximum(val, 0.0))
+            return np.sqrt(np.maximum((c - 1) * x * x + Y, 0.0))
 
         xs, phi = _sample_even(xr, n, phi_of_x)
         return _finish_compacton(params, xr, xs, phi, True, phi_of_x)
 
-    cls = classify(params)
+    cls, phi_max = _classify(params)
     if cls.tag != "Compacton":
         raise ProfileError(f"parameters classify as {cls.tag}, not Compacton")
 
     if p == 4:
-        xr, _, phi_of_x = _closed_form_p4(params)
+        xr = _p4_half_width(params)
+        rho = _p4_rho(params)
+        phi_of_x = _on_support(xr, lambda x: np.sqrt(np.maximum(rho(x), 0.0)))
         xs, phi = _sample_even(xr, n, phi_of_x)
         return _finish_compacton(params, xr, xs, phi, True, phi_of_x)
 
-    return _build_by_quadrature(params, n)
+    return _build_by_quadrature(params, n, phi_max)
 
 
 def build_compacton_general(params: ModelParams, n: int = 1024) -> CompactonProfile:
@@ -475,19 +474,16 @@ def build_compacton_general(params: ModelParams, n: int = 1024) -> CompactonProf
     profiles solve the ODE classically inside the support but are not
     distributional solutions on the line when A != 0.
     """
-    cls = classify(params)
+    cls, phi_max = _classify(params)
     if cls.tag != "Compacton":
         raise ProfileError(f"parameters classify as {cls.tag}, not Compacton")
     if params.A != 0 and params.B <= 0:
         raise ProfileError("general-A construction requires B > 0")
-    return _build_by_quadrature(params, n)
+    return _build_by_quadrature(params, n, phi_max)
 
 
-def _build_by_quadrature(params: ModelParams, n: int, m: int = 8192) -> CompactonProfile:
-    phi_max = _largest_positive_root_F(params)
-    u_max = math.sqrt(phi_max)
-    g = _compacton_g(params, phi_max)
-    ub, cum = _gauss_cumulative(g, u_max, m)
+def _build_by_quadrature(params: ModelParams, n: int, phi_max: float) -> CompactonProfile:
+    ub, cum = _gauss_cumulative(_dx_du(params, phi_max, -1), math.sqrt(phi_max), 8192)
     xr = float(cum[-1])
     if not np.all(np.diff(cum) > 0):
         raise ProfileError(
@@ -496,15 +492,7 @@ def _build_by_quadrature(params: ModelParams, n: int, m: int = 8192) -> Compacto
         )
     # phi(x) on the right half through monotone interpolation of the samples
     # (x(u_i), phi(u_i)); x-samples are naturally graded toward the edge.
-    phi_at_ub = phi_max - ub * ub
-    interp = PchipInterpolator(cum, phi_at_ub, extrapolate=False)
-
-    def phi_of_x(x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        out = interp(np.minimum(ax, xr))
-        out = np.where(ax <= xr, out, 0.0)
-        return np.maximum(np.nan_to_num(out, nan=0.0), 0.0)
-
+    phi_of_x = _on_support(xr, PchipInterpolator(cum, phi_max - ub * ub))
     xs, phi = _sample_even(xr, n, phi_of_x)
     phi[0] = phi[-1] = 0.0
     prof = _finish_compacton(params, xr, xs, phi, False, phi_of_x)
@@ -517,67 +505,38 @@ def build_periodic(params: ModelParams, n: int = 1024) -> PeriodicProfile:
     """One period of a positive periodic orbit, centered at its maximum."""
     if n < 16:
         raise ProfileError("need at least 16 samples")
-    cls = classify(params)
+    cls, phi2 = _classify(params)
     if cls.tag != "Periodic":
         raise ProfileError(f"parameters classify as {cls.tag}, not Periodic")
-    p, A, B, c = params.p, params.A, params.B, params.c
 
-    if p == 4 and A == 0:
-        Z = math.sqrt(4 * B + c * c)
-        period = math.sqrt(2) * math.pi
+    closed_form = params.p == 4 and params.A == 0
+    if closed_form:
+        half_period = math.sqrt(2) * math.pi / 2
+        rho = _p4_rho(params)
 
         def phi_of_x(x):
-            return np.sqrt(c + Z * np.cos(math.sqrt(2) * np.asarray(x, dtype=float)))
+            return np.sqrt(rho(np.asarray(x, dtype=float)))
 
-        xs, phi = _sample_even(period / 2, n, phi_of_x)
-        G = flux_squared(phi, params)
-        phi_dphi = -np.sign(xs) * np.sqrt(np.maximum(G, 0.0))
-        dphi = phi_dphi / phi
-        return PeriodicProfile(params, period, xs, phi, dphi, phi_dphi, True)
+    else:
+        # quadrature between the two positive simple roots of F
+        grid = np.linspace(phi2 * 1e-6, phi2 * (1 - 1e-9), 4 * _SCAN_POINTS)
+        phi1 = _turning_point(params, grid, False, "no open positive region between roots")
+        phi_mid = 0.5 * (phi1 + phi2)
+        ub_t, cum_t = _gauss_cumulative(_dx_du(params, phi2, -1), math.sqrt(phi2 - phi_mid), 2048)
+        ub_b, cum_b = _gauss_cumulative(_dx_du(params, phi1, 1), math.sqrt(phi_mid - phi1), 2048)
+        x_bot = cum_t[-1] + (cum_b[-1] - cum_b[::-1])
+        half_period = float(x_bot[-1])
+        interp = PchipInterpolator(
+            np.concatenate((cum_t, x_bot[1:])),
+            np.concatenate((phi2 - ub_t * ub_t, (phi1 + ub_b * ub_b)[::-1][1:])),
+        )
 
-    # general p: quadrature between the two positive simple roots of F
-    phi2 = _largest_positive_root_F(params)
-
-    def F(s):
-        return first_integral(s, params)
-
-    grid = np.linspace(phi2 * 1e-6, phi2 * (1 - 1e-9), 4 * _SCAN_POINTS)
-    vals = F(grid)
-    pos = np.nonzero(vals > 0)[0]
-    if not pos.size:
-        raise ProfileError("no open positive region between roots")
-    i = pos[0]
-    if i == 0:
-        raise ProfileError("lower turning point not bracketed")
-    phi1 = float(brentq(F, grid[i - 1], grid[i], xtol=_ROOT_TOL))
-    phi_mid = 0.5 * (phi1 + phi2)
-
-    def g_top(u):
-        return 2 * u / np.sqrt(np.maximum(F(phi2 - u * u), 1e-300))
-
-    def g_bot(w):
-        return 2 * w / np.sqrt(np.maximum(F(phi1 + w * w), 1e-300))
-
-    ub_t, cum_t = _gauss_cumulative(g_top, math.sqrt(phi2 - phi_mid), 2048)
-    ub_b, cum_b = _gauss_cumulative(g_bot, math.sqrt(phi_mid - phi1), 2048)
-    x_top = cum_t
-    x_bot = cum_t[-1] + (cum_b[-1] - cum_b[::-1])
-    half_period = float(x_bot[-1])
-    xs_all = np.concatenate((x_top, x_bot[1:]))
-    phi_all = np.concatenate((phi2 - ub_t * ub_t, (phi1 + ub_b * ub_b)[::-1][1:]))
-    interp = PchipInterpolator(xs_all, phi_all)
-
-    def phi_of_x(x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        folded = np.minimum(ax, half_period)
-        return np.asarray(interp(folded))
+        def phi_of_x(x):
+            return np.asarray(interp(np.minimum(np.abs(np.asarray(x, dtype=float)), half_period)))
 
     xs, phi = _sample_even(half_period, n, phi_of_x)
-    period = 2 * half_period
-    G = flux_squared(phi, params)
-    phi_dphi = -np.sign(xs) * np.sqrt(np.maximum(G, 0.0))
-    dphi = phi_dphi / phi
-    return PeriodicProfile(params, period, xs, phi, dphi, phi_dphi, False)
+    dphi, phi_dphi = _flux(params, xs, phi)
+    return PeriodicProfile(params, 2 * half_period, xs, phi, dphi, phi_dphi, closed_form)
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +569,7 @@ def edge_expansion(params: ModelParams, order: int = 2):
 def assemble_multi(spec: MultiCompacton, grid: np.ndarray) -> np.ndarray:
     """Sum of signed, shifted compactons on a grid; supports must be disjoint."""
     grid = np.asarray(grid, dtype=float)
-    built = []
-    for eps, a, params in spec.components:
-        prof = build_compacton(params, n=64)
-        built.append((eps, a, prof))
+    built = [(eps, a, build_compacton(params, n=64)) for eps, a, params in spec.components]
     intervals = sorted(
         ((a - prof.half_width, a + prof.half_width, i) for i, (eps, a, prof) in enumerate(built))
     )
@@ -649,17 +605,16 @@ def weak_residual(profile: CompactonProfile, test_fn, d1=None, d2=None, panels: 
         def d2(x):
             return (test_fn(x + h2) - 2 * test_fn(x) + test_fn(x - h2)) / (h2 * h2)
 
-    p, A, B, c = params.p, params.A, params.B, params.c
+    p, c = params.p, params.c
     phi_max = _largest_positive_root_F(params)
     u_max = math.sqrt(phi_max)
-    g = _compacton_g(params, phi_max)
-    ub, cum = _gauss_cumulative(g, u_max, 2048)
+    dx_du = _dx_du(params, phi_max, -1)
+    ub, cum = _gauss_cumulative(dx_du, u_max, 2048)
     x_of_u = PchipInterpolator(ub, cum)
 
     def integrand(u):
         phi = phi_max - u * u
-        F = first_integral(phi, params)
-        gvals = 2 * u / np.sqrt(np.maximum(F, 1e-300))
+        gvals = dx_du(u)
         G = flux_squared(phi, params)
         x = x_of_u(u)
         total = 0.0
@@ -736,26 +691,24 @@ def scale_params(params: ModelParams, lam: float) -> ModelParams:
 # serialization
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path, header: str, *columns):
+    """CSV with a header line and one row per sample, each value as repr(float(value))."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join([repr(float(v)) for v in row]) + "\n")
 
 
 def write_profile_csv(profile, path):
     """CSV `x,phi,dphi` plus a JSON manifest next to it."""
-    with open(path, "w") as fh:
-        fh.write("x,phi,dphi\n")
-        for x, ph, dp in zip(profile.xs, profile.phi, profile.dphi):
-            fh.write(f"{_fmt(x)},{_fmt(ph)},{_fmt(dp)}\n")
+    _write_csv(path, "x,phi,dphi", profile.xs, profile.phi, profile.dphi)
     write_manifest(profile, str(path) + ".json")
 
 
 def write_nls_profile_csv(nls: NlsProfile, path):
     """CSV `x,phi,theta,re,im` plus a JSON manifest next to it."""
     base = nls.base
-    with open(path, "w") as fh:
-        fh.write("x,phi,theta,re,im\n")
-        for x, ph, th, re, im in zip(base.xs, base.phi, nls.theta, nls.re, nls.im):
-            fh.write(f"{_fmt(x)},{_fmt(ph)},{_fmt(th)},{_fmt(re)},{_fmt(im)}\n")
+    _write_csv(path, "x,phi,theta,re,im", base.xs, base.phi, nls.theta, nls.re, nls.im)
     write_manifest(base, str(path) + ".json", v=nls.v)
 
 

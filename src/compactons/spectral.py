@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal, lu_factor, lu_solve, solve_banded
 
-from .profiles import CompactonProfile, ModelParams, build_compacton
+from .profiles import CompactonProfile, ModelParams, _write_csv, build_compacton
 
 __all__ = [
     "CASE_PARAMS",
@@ -216,6 +216,14 @@ def apply_L(op: LinearizedOperator, w: np.ndarray) -> np.ndarray:
     return -phi * (d2 + 2 * y)
 
 
+def _interior(case_tag, m):
+    """(phi, h): phi on the m interior points of the uniform grid on [-x_r, x_r] and its spacing."""
+    if m < 1:
+        raise ValueError("need at least one interior sample")
+    xr = _geometry(case_tag)[2]
+    return _phi(case_tag, np.linspace(-xr, xr, m + 2)[1:-1]), 2 * xr / (m + 1)
+
+
 def _dirichlet_null_mode(m, h):
     """Unit eigenvector of D2 + 2I (Dirichlet, m points, spacing h) nearest the null space.
 
@@ -241,9 +249,7 @@ def green_apply(case_tag: str, f: np.ndarray, enforce_orthogonality: bool = True
     _check_case(case_tag)
     f = np.asarray(f, dtype=float)
     m = f.size
-    op = make_operator(case_tag, m + 2)
-    phi = op.profile.phi[1:-1]
-    h = op.profile.xs[1] - op.profile.xs[0]
+    phi, h = _interior(case_tag, m)
     r = -f / phi
 
     # tridiagonal (D2 + 2I) y = r with Dirichlet ends
@@ -339,9 +345,7 @@ def green_orthogonalize(case_tag: str, f: np.ndarray) -> np.ndarray:
     m = f.size
     if case_tag not in ("B0c1", "B14c0"):
         return f
-    op = make_operator(case_tag, m + 2)
-    phi = op.profile.phi[1:-1]
-    h = op.profile.xs[1] - op.profile.xs[0]
+    phi, h = _interior(case_tag, m)
     g = _dirichlet_null_mode(m, h) / phi  # solvability functional: <g, f> = 0 required
     f -= (g @ f) / (g @ g) * g
     if case_tag == "B0c1":
@@ -685,8 +689,8 @@ def spectrum_json(case_tag: str, spec: Spectrum) -> str:
 
 
 def write_trajectory_csv(traj: LinearizedTrajectory, path):
-    with open(path, "w") as fh:
-        fh.write("t,energy_H,flux_upsilon,ortho_phi,ortho_phix\n")
-        for t, E, u, o1, o2 in zip(traj.times, traj.energy, traj.flux, traj.ortho_phi, traj.ortho_phix):
-            energy_h = math.sqrt(max(float(E), 0.0))
-            fh.write(f"{float(t)!r},{energy_h!r},{float(u)!r},{float(o1)!r},{float(o2)!r}\n")
+    energy_h = [math.sqrt(max(float(E), 0.0)) for E in traj.energy]
+    _write_csv(
+        path, "t,energy_H,flux_upsilon,ortho_phi,ortho_phix",
+        traj.times, energy_h, traj.flux, traj.ortho_phi, traj.ortho_phix,
+    )

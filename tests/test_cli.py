@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from compactons import functionals, profiles
+from compactons import evolution, functionals, profiles, spectral
 from compactons.cli import main
 
 
@@ -85,6 +86,79 @@ class TestFunctionalsCommand:
         bad.write_text("x,phi,dphi\n")
         code, _, _ = run(capsys, "functionals", "--in", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "manifest,named",
+        [
+            ({"p": 4.0, "B": 0.0, "c": 1.0, "n": 64}, "A"),
+            ({"p": 4.0, "A": 0.0, "B": 0.0, "c": 1.0}, "n"),
+            ([], "p, A, B, c, n"),
+            ({"p": None, "A": 0.0, "B": 0.0, "c": 1.0, "n": "64"}, "p, n"),
+            ({"p": 4.0, "A": 0.0, "B": 0.0, "c": 1.0, "n": 64, "v": "0.5"}, "v"),
+        ],
+        ids=["no-A", "no-n", "not-an-object", "not-numbers", "v-not-a-number"],
+    )
+    def test_malformed_manifest(self, capsys, tmp_path, manifest, named):
+        csv = tmp_path / "prof.csv"
+        run(capsys, "profile", "--p", "4", "--B", "0", "--c", "1", "--n", "64", "--out", str(csv))
+        (tmp_path / "prof.csv.json").write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "functionals", "--in", str(csv))
+        assert code == 2
+        assert err.startswith("error:") and f"manifest lacks a number for {named}" in err
+
+
+def loop_csv(path, header, rows):
+    """The per-row writer the CSV artifacts were written with before they shared one helper."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{float(v)!r}" for v in row) + "\n")
+
+
+def csv_cases():
+    nls = profiles.build_nls_compacton(profiles.ModelParams(4, 0, 0.25, 1), 0.7, 129)
+    prof = profiles.build_compacton(profiles.ModelParams(5, 0, 0.1, 1), 129)
+    base = nls.base
+    grid = evolution.PeriodicGrid(8.0, 16)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(16)
+    v = u + 1j * rng.standard_normal(16)
+    series = evolution.DiagnosticsSeries([0.0, 0.5], [1.0, 1 / 3], [-0.25, np.pi], [0.0, -1e-300])
+    energy = np.array([2.0, 0.0, -1e-18, 1e-20])
+    traj = spectral.LinearizedTrajectory(
+        np.linspace(0, 1, 4), None, energy, rng.standard_normal(4),
+        rng.standard_normal(4), rng.standard_normal(4), None,
+    )
+    return [
+        ("profile", lambda p: profiles.write_profile_csv(prof, p),
+         "x,phi,dphi", zip(prof.xs, prof.phi, prof.dphi)),
+        ("nls", lambda p: profiles.write_nls_profile_csv(nls, p),
+         "x,phi,theta,re,im", zip(base.xs, base.phi, nls.theta, nls.re, nls.im)),
+        ("series", lambda p: evolution.write_series_csv(series, p),
+         "t,mass,hamiltonian,momentum",
+         zip(series.times, series.mass, series.hamiltonian, series.momentum)),
+        ("real", lambda p: evolution.write_snapshot_csv(evolution.FieldState("real", grid, u), p),
+         "x,u", zip(grid.xs, u)),
+        ("complex",
+         lambda p: evolution.write_snapshot_csv(evolution.FieldState("complex", grid, v), p),
+         "x,re,im", ((x, w.real, w.imag) for x, w in zip(grid.xs, v))),
+        ("hydro",
+         lambda p: evolution.write_snapshot_csv(evolution.FieldState("hydro", grid, (u * u, u)), p),
+         "x,rho,u", zip(grid.xs, u * u, u)),
+        ("trajectory", lambda p: spectral.write_trajectory_csv(traj, p),
+         "t,energy_H,flux_upsilon,ortho_phi,ortho_phix",
+         ((t, math.sqrt(max(float(E), 0.0)), a, b, c) for t, E, a, b, c in
+          zip(traj.times, traj.energy, traj.flux, traj.ortho_phi, traj.ortho_phix))),
+    ]
+
+
+class TestCsvArtifacts:
+    def test_bytes_match_the_per_row_writer(self, tmp_path):
+        for name, write, header, rows in csv_cases():
+            write(tmp_path / f"{name}.csv")
+            loop_csv(tmp_path / f"{name}.ref", header, rows)
+            got = (tmp_path / f"{name}.csv").read_bytes()
+            assert got == (tmp_path / f"{name}.ref").read_bytes(), name
 
 
 class TestMinimizeCommand:

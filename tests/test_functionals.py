@@ -299,6 +299,23 @@ class TestEscapingSequence:
         with pytest.raises(ValueError):
             escaping_sequence(SQRT2PI, 0.1, 4.0, 0.1, 1e-3)
 
+    def test_identities_integrate_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("panels"))
+            return compacton_integrals(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "compacton_integrals", counted)
+        monkeypatch.setattr(profiles, "compacton_integrals", counted)
+        seq = escaping_sequence(1.5, 0.1, 5.0, 32.0, 1e-3)
+        assert calls.count(128) == 1
+        monkeypatch.undo()
+        res = minimize_in_family(5.0, 1.5)
+        phi = build_compacton(ModelParams(5.0, 0.0, res.B_star, res.c_star), 4097)
+        assert seq.combined.pohozaev_residual == pytest.approx(pohozaev_residual(phi), abs=1e-15)
+        assert seq.combined.energy_identity_residual == functionals.identity_residuals(phi)[0]
+
 
 class TestPeriodicQuadrature:
     def test_periodic_mass_is_exact_for_trig(self):

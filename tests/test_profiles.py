@@ -4,7 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
+from compactons import profiles
 from compactons.profiles import (
     CompactonProfile,
     ModelParams,
@@ -58,6 +60,21 @@ class TestFirstIntegral:
     def test_zero_allowed_when_regular(self):
         assert first_integral(0.0, ModelParams(4, 0, 0, 1)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("p", [2, 2.5, 3, 4, 5.5])
+    def test_zero_branch_is_the_main_expression(self, p):
+        # the former two-branch form, with phi = 0 evaluated separately
+        params = ModelParams(p, 0, 0, 0.7)
+        phi = np.array([0.0, 1e-8, 0.3, 1.0, 2.5, 0.0])
+        safe = np.where(phi > 0, phi, 1.0)
+        with np.errstate(divide="ignore"):
+            ref = np.where(
+                phi > 0,
+                2 * params.B / safe**2 + 2 * params.A / safe + params.c - (2 / p) * phi ** (p - 2),
+                params.c - (2 / p) * (phi ** (p - 2) if p != 2 else 1.0),
+            )
+        assert first_integral(phi, params).tobytes() == ref.tobytes()
+        assert first_integral(0.0, params) == float(ref[0])
+
 
 class TestStationaryPoint:
     def test_unit_root(self):
@@ -68,6 +85,44 @@ class TestStationaryPoint:
 
     def test_absent(self):
         assert stationary_point(0.0, -1.0, 4.0) is None
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    orig = getattr(profiles, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, name, counted)
+    return calls
+
+
+class TestOneClassificationPass:
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_quadrature_build_finds_the_maximum_once(self, monkeypatch, p):
+        roots = count_calls(monkeypatch, "_largest_positive_root_F")
+        build_compacton(ModelParams(p, 0, 0.1, 1), 256)
+        assert len(roots) == 1
+
+    def test_closed_form_build_classifies_once(self, monkeypatch):
+        stationary = count_calls(monkeypatch, "stationary_point")
+        roots = count_calls(monkeypatch, "_largest_positive_root_F")
+        build_compacton(ModelParams(4, 0, 0.25, 1), 256)
+        assert len(stationary) == len(roots) == 1
+
+    def test_periodic_build_finds_the_maximum_once(self, monkeypatch):
+        roots = count_calls(monkeypatch, "_largest_positive_root_F")
+        build_periodic(ModelParams(5, 0, -0.05, 1), 256)
+        assert len(roots) == 1
+
+    def test_front_is_classified_before_the_root_search(self, monkeypatch):
+        # A = z^2 + z with z = 2 + sqrt6 makes F vanish at its stationary point z
+        z = 2 + math.sqrt(6)
+        roots = count_calls(monkeypatch, "_largest_positive_root_F")
+        assert classify(ModelParams(4, z * z + z, 0, -1)).tag == "Front"
+        assert roots == []
 
 
 class TestClassify:
@@ -217,7 +272,7 @@ class TestMultiCompacton:
         spec = MultiCompacton([(1, -10.0, params), (1, 10.0, params)])
         grid = np.linspace(-20, 20, 32001)
         field = assemble_multi(spec, grid)
-        mass = np.trapezoid(field**2, grid)
+        mass = trapezoid(field**2, grid)
         assert mass == pytest.approx(2 * SQRT2 * math.pi, rel=1e-8)
 
     def test_sign_flip(self):

@@ -127,6 +127,46 @@ class TestGreenInverse:
         assert seq[-1] < 1.1 * seq[0]
 
 
+def profile_interior(case, m):
+    """phi and h of the m interior points read off a built compacton (the former route)."""
+    prof = make_operator(case, m + 2).profile
+    return prof.phi[1:-1], prof.xs[1] - prof.xs[0]
+
+
+class TestClosedFormInteriorGrid:
+    @pytest.mark.parametrize("m", [255, 2047])
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_phi_and_spacing_match_the_profile(self, case, m):
+        phi, h = spectral._interior(case, m)
+        phi_ref, h_ref = profile_interior(case, m)
+        assert np.max(np.abs(phi - phi_ref) / phi_ref) < 1e-12
+        assert abs(h - h_ref) < 1e-13 * h_ref
+
+    @pytest.mark.parametrize("m", [255, 2047])
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_green_apply_matches_the_profile_route(self, case, m, monkeypatch):
+        xr = spectral._geometry(case)[2]
+        x = np.linspace(-xr, xr, m + 2)[1:-1]
+        f = smooth_bump(x, xr, 0.1 * xr, 0.3) + 0.2 * smooth_bump(x, xr, -0.2 * xr, 0.25)
+
+        def solve():
+            g = spectral.green_orthogonalize(case, f)
+            return g, green_apply(case, g)
+
+        g, w = solve()
+        monkeypatch.setattr(spectral, "_interior", profile_interior)
+        g_ref, w_ref = solve()
+        assert np.max(np.abs(g - g_ref)) < 1e-10 * np.max(np.abs(g_ref))
+        assert np.max(np.abs(w - w_ref)) < 1e-10 * np.max(np.abs(w_ref))
+
+    def test_green_apply_builds_no_profile(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral, "build_compacton", lambda *a, **k: calls.append(a))
+        f = spectral.green_orthogonalize("B14c0", np.ones(255))
+        green_apply("B14c0", f)
+        assert calls == []
+
+
 class TestSchroedingerConjugate:
     def test_assembly_constants(self):
         bop = b_transform(make_operator("B0c1"))
@@ -438,6 +478,10 @@ GUARDED_CALLS = [
         id="evolve_linearized-record-every",
     ),
     pytest.param(lambda: green_apply("B14c0", np.ones(255)), id="green_apply-B14c0-solvability"),
+    pytest.param(lambda: green_apply("B14c1", np.ones(0)), id="green_apply-no-samples"),
+    pytest.param(
+        lambda: spectral.green_orthogonalize("B0c1", np.ones(0)), id="green_orthogonalize-empty"
+    ),
 ]
 
 

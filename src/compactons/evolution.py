@@ -4,10 +4,13 @@ Three models: the degenerate KdV flow u_t + (u (u (u)_x)_x + u^(p-1))_x = 0
 with regularized pseudospectral derivatives, the degenerate NLS variant
 -i v_t = |v|^(p-2) v + conj(v) (v v_x)_x with centered differences, and the
 hydrodynamic pair rho_t + (rho u)_x = 0, u_t + 3 u u_x = rho (rho_xxx +
-2 rho_x).  Time stepping is an adaptive two-stage implicit method
-(trapezoidal step to an interior node followed by a second-order backward
-differentiation closure) with an embedded third-order error estimate and
-matrix-free Newton-Krylov stage solves.
+2 rho_x).  Spectral derivatives of real fields use real FFTs and the
+half-spectrum multiplier i k / (1 + nu k^4), which each grid builds once per
+strength nu and keeps; a right-hand side transforms each field once.  Time
+stepping is an adaptive two-stage implicit method (trapezoidal step to an
+interior node followed by a second-order backward differentiation closure)
+with an embedded third-order error estimate and matrix-free Newton-Krylov
+stage solves.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ class PeriodicGrid:
     n: int
     xs: np.ndarray = field(init=False, repr=False, compare=False)
     k: np.ndarray = field(init=False, repr=False, compare=False)
+    _multipliers: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.n < 4 or self.n & (self.n - 1):
@@ -71,6 +75,15 @@ class PeriodicGrid:
     @property
     def dx(self):
         return self.length / self.n
+
+    def _multiplier(self, nu: float) -> np.ndarray:
+        """Half-spectrum multiplier i k / (1 + nu k^4) on the rfft wavenumbers, built once per nu."""
+        mult = self._multipliers.get(nu)
+        if mult is None:
+            kr = 2 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+            mult = self._multipliers[nu] = 1j * kr / (1.0 + nu * kr**4)
+            mult.flags.writeable = False  # shared by every caller on this grid
+        return mult
 
 
 @dataclass
@@ -130,12 +143,12 @@ class DiagnosticsSeries:
 
 def regularized_derivative(v, grid: PeriodicGrid, nu: float, order: int = 1):
     """Spectral derivative with multiplier (i k / (1 + nu k^4))^order."""
-    vhat = np.fft.fft(v)
-    mult = (1j * grid.k / (1.0 + nu * grid.k**4)) ** order
-    out = np.fft.ifft(mult * vhat)
+    mult = grid._multiplier(nu)
     if np.isrealobj(v):
-        return out.real
-    return out
+        return np.fft.irfft(mult**order * np.fft.rfft(v), grid.n)
+    # i k / (1 + nu k^4) is odd in k: extend it to the negative fft wavenumbers
+    full = np.concatenate((mult[:-1], -mult[:0:-1]))
+    return np.fft.ifft(full**order * np.fft.fft(v))
 
 
 def dkdv_rhs(u, grid: PeriodicGrid, p: float = 4.0, nu: float = 1e-4, conserve_mass: bool = True):
@@ -152,20 +165,20 @@ def dkdv_rhs(u, grid: PeriodicGrid, p: float = 4.0, nu: float = 1e-4, conserve_m
     corrected right-hand side stays within the regularization error of the
     uncorrected one.
     """
-
-    def D(w, s):
-        return regularized_derivative(w, grid, s)
-
-    flux = u * D(u * D(u, 0.0), 0.0) + np.sign(u) * np.abs(u) ** (p - 1)
+    n, exact, damped = grid.n, grid._multiplier(0.0), grid._multiplier(nu)
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    uhat = rfft(u)
+    flux = u * irfft(exact * rfft(u * irfft(exact * uhat, n)), n)
+    flux += np.sign(u) * np.abs(u) ** (p - 1)
     if conserve_mass:
         # d/dt int u^2 = -2 <D_nu u, flux>; cancel it along the smooth
         # conservative direction (u^2)_x, whose pairing with D_nu u is O(1).
-        du = D(u, nu)
-        r = D(u * u, 0.0)
+        du = irfft(damped * uhat, n)
+        r = irfft(exact * rfft(u * u), n)
         denom = float(np.dot(du, r))
         if abs(denom) > 1e-300:
-            flux = flux - (np.dot(du, flux) / denom) * r
-    return -D(flux, nu)
+            flux -= (np.dot(du, flux) / denom) * r
+    return -irfft(damped * rfft(flux), n)
 
 
 def dnls_rhs(v, grid: PeriodicGrid, p: float = 4.0):
@@ -180,12 +193,10 @@ def dnls_rhs(v, grid: PeriodicGrid, p: float = 4.0):
 
 def hydro_rhs(rho, u, grid: PeriodicGrid, nu: float = 1e-4):
     """(-(rho u)_x, -3 u u_x + rho (rho_xxx + 2 rho_x)), regularized derivatives."""
-
-    def D(w, order=1):
-        return regularized_derivative(w, grid, nu, order)
-
-    drho_dt = -D(rho * u)
-    du_dt = -3 * u * D(u) + rho * (D(rho, 3) + 2 * D(rho))
+    n, m = grid.n, grid._multiplier(nu)
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    drho_dt = -irfft(m * rfft(rho * u), n)
+    du_dt = -3 * u * irfft(m * rfft(u), n) + rho * irfft(m * (m * m + 2) * rfft(rho), n)
     return drho_dt, du_dt
 
 
@@ -265,7 +276,8 @@ def _newton_stage(rhs, z0, target, d, tol):
         if info != 0 and np.linalg.norm(dz) == 0:
             return z, fz, False
         z = z - dz
-    return z, rhs(z), np.linalg.norm(z - d * rhs(z) - target) <= 10 * tol * scale
+    fz = rhs(z)
+    return z, fz, np.linalg.norm(z - d * fz - target) <= 10 * tol * scale
 
 
 def integrate(

@@ -55,6 +55,7 @@ __all__ = [
 
 _ROOT_TOL = 1e-12
 _SCAN_POINTS = 256
+_LOG_Z_MAX = math.log(1e12)  # stationary points beyond 1e12 are not searched for
 
 
 class ProfileError(ValueError):
@@ -187,31 +188,38 @@ def flux_squared(phi_val, params: ModelParams):
 
 
 def stationary_point(A: float, c: float, p: float) -> Optional[float]:
-    """Unique positive root of A + c*z = z**(p-2), if any."""
+    """Smallest positive root of A + c*z = z**(p-1), if any.
+
+    These are the zeros of G' for G = (phi phi')^2 = 2B + 2A phi + c phi^2 -
+    (2/p) phi^p, so a double root of G, where a Front comes to rest, lies at
+    one of them.  h(z) = A + c*z - z**(p-1) is concave for p > 2 with its
+    maximum at z_top = (c/(p-1))**(1/(p-2)) (z_top = 0 when c <= 0), which
+    brackets the smallest root; a tangency h(z_top) = 0 is returned as z_top.
+    """
     if p <= 2:
         raise ProfileError("stationary_point requires p > 2")
 
     def h(z):
-        return A + c * z - z ** (p - 2)
+        return A + c * z - z ** (p - 1)
 
-    z_hi = max(1.0, (1.0 + abs(A) + abs(c)) ** (1.0 / (p - 2)) * 4.0)
-    # expand until the power term dominates
-    while h(z_hi) > 0:
-        z_hi *= 2
-        if z_hi > 1e12:
+    if A == 0:
+        return c ** (1.0 / (p - 2)) if c > 0 else None
+    z_top = (c / (p - 1)) ** (1.0 / (p - 2)) if c > 0 else 0.0
+    if A < 0:  # h(0) < 0, so a root needs h(z_top) >= 0
+        top = h(z_top)
+        if top < -1e-12 * abs(A):
             return None
-    zs = np.linspace(0.0, z_hi, _SCAN_POINTS)
-    hs = h(zs[1:])
-    sign_changes = np.nonzero(np.diff(np.sign(hs)))[0]
-    if not sign_changes.size:  # h(z_hi) <= 0, so h > 0 anywhere on the grid means a change
-        return None
-    a, b = zs[1:][sign_changes[0]], zs[1:][sign_changes[0] + 1]
-    if h(a) == 0:
-        return float(a)
-    root = brentq(h, a, b, xtol=_ROOT_TOL, rtol=4 * np.finfo(float).eps)
+        if top <= 1e-12 * abs(A):
+            return z_top
+        lo, hi = 0.0, z_top
+    else:  # h(z_top) >= A > 0 > h(hi) once hi**(p-2) >= 1 + A + |c|
+        lo, hi = z_top, math.exp(min(math.log1p(A + abs(c)) / (p - 2), _LOG_Z_MAX))
+        if h(hi) > 0:
+            return None
+    root = brentq(h, lo, hi, xtol=_ROOT_TOL, rtol=4 * np.finfo(float).eps)
     # polish with Newton
     for _ in range(3):
-        dh = c - (p - 2) * root ** (p - 3)
+        dh = c - (p - 1) * root ** (p - 2)
         if dh != 0:
             step = h(root) / dh
             if abs(step) < 0.5 * abs(root):
@@ -287,9 +295,22 @@ def _classify(params: ModelParams):
     return SolutionClass("Compacton", edge), phi_max
 
 
+def _compacton_phi_max(params: ModelParams) -> float:
+    """phi_max of a compacton parameter set; ProfileError for any other class."""
+    cls, phi_max = _classify(params)
+    if cls.tag != "Compacton":
+        raise ProfileError(f"parameters classify as {cls.tag}, not Compacton")
+    return phi_max
+
+
 def _is_front(params: ModelParams, z: float) -> bool:
-    """F vanishes at the stationary point z and is nonnegative below it."""
-    tol = 1e-10 * (1 + abs(params.c))
+    """F vanishes at the stationary point z and is nonnegative below it.
+
+    Both tests are relative to the sum of the magnitudes of F's terms at z, so
+    a tiny speed (F(z) = c (1 - 2/p) when A = B = 0) is not taken for zero.
+    """
+    p, A, B, c = params.p, params.A, params.B, params.c
+    tol = 1e-10 * (abs(2 * B / z**2) + abs(2 * A / z) + abs(c) + (2 / p) * z ** (p - 2))
     if not abs(first_integral(z, params)) < tol:
         return False
     s = np.linspace(z * 1e-6, z * (1 - 1e-9), _SCAN_POINTS)
@@ -365,9 +386,8 @@ def support_half_width(params: ModelParams) -> float:
         raise ProfileError("support_half_width is defined on the A = 0 compacton branch")
     if params.p == 2:
         return _p2_half_width(params)
-    if classify(params).tag != "Compacton":
-        raise ProfileError("parameters do not lie in the compacton region")
     if params.p == 4:
+        _compacton_phi_max(params)
         return _p4_half_width(params)
     return compacton_integrals(params, panels=512)[0]
 
@@ -377,6 +397,7 @@ def compacton_integrals(params: ModelParams, panels: int = 64, order: int = 16):
 
     Evaluated as integrals in phi through the substituted variable, so no
     profile sampling or inversion is needed.  Used by the family minimizer.
+    Raises ProfileError unless the parameters classify as a compacton.
     """
     p = params.p
     if p == 2:
@@ -386,7 +407,7 @@ def compacton_integrals(params: ModelParams, panels: int = 64, order: int = 16):
         # H = -(1+c)/4 M and H = S/2 - Pp/2 with Pp = int phi^2 = M
         S = 2 * (-(1 + c) / 4 * M) + M
         return xr, M, S, M
-    phi_max = _largest_positive_root_F(params)
+    phi_max = _compacton_phi_max(params)
     dx_du = _dx_du(params, phi_max, -1)
 
     def integrands(u):
@@ -453,10 +474,7 @@ def build_compacton(params: ModelParams, n: int = 1024) -> CompactonProfile:
         xs, phi = _sample_even(xr, n, phi_of_x)
         return _finish_compacton(params, xr, xs, phi, True, phi_of_x)
 
-    cls, phi_max = _classify(params)
-    if cls.tag != "Compacton":
-        raise ProfileError(f"parameters classify as {cls.tag}, not Compacton")
-
+    phi_max = _compacton_phi_max(params)
     if p == 4:
         xr = _p4_half_width(params)
         rho = _p4_rho(params)
@@ -474,9 +492,7 @@ def build_compacton_general(params: ModelParams, n: int = 1024) -> CompactonProf
     profiles solve the ODE classically inside the support but are not
     distributional solutions on the line when A != 0.
     """
-    cls, phi_max = _classify(params)
-    if cls.tag != "Compacton":
-        raise ProfileError(f"parameters classify as {cls.tag}, not Compacton")
+    phi_max = _compacton_phi_max(params)
     if params.A != 0 and params.B <= 0:
         raise ProfileError("general-A construction requires B > 0")
     return _build_by_quadrature(params, n, phi_max)
@@ -606,7 +622,7 @@ def weak_residual(profile: CompactonProfile, test_fn, d1=None, d2=None, panels: 
             return (test_fn(x + h2) - 2 * test_fn(x) + test_fn(x - h2)) / (h2 * h2)
 
     p, c = params.p, params.c
-    phi_max = _largest_positive_root_F(params)
+    phi_max = _compacton_phi_max(params)
     u_max = math.sqrt(phi_max)
     dx_du = _dx_du(params, phi_max, -1)
     ub, cum = _gauss_cumulative(dx_du, u_max, 2048)

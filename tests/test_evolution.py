@@ -171,6 +171,156 @@ class TestHydroRhs:
         assert np.max(np.abs(drho + rho_x)) < 1e-10
 
 
+# ---------------------------------------------------------------------------
+# the earlier route, kept as an oracle: a complex FFT pair per derivative and
+# the multiplier (i k / (1 + nu k^4))^order rebuilt on every call
+
+
+def oracle_derivative(v, grid, nu, order=1):
+    vhat = np.fft.fft(v)
+    mult = (1j * grid.k / (1.0 + nu * grid.k**4)) ** order
+    out = np.fft.ifft(mult * vhat)
+    if np.isrealobj(v):
+        return out.real
+    return out
+
+
+def oracle_dkdv(u, grid, p=4.0, nu=1e-4, conserve_mass=True):
+    def D(w, s):
+        return oracle_derivative(w, grid, s)
+
+    flux = u * D(u * D(u, 0.0), 0.0) + np.sign(u) * np.abs(u) ** (p - 1)
+    if conserve_mass:
+        du = D(u, nu)
+        r = D(u * u, 0.0)
+        denom = float(np.dot(du, r))
+        if abs(denom) > 1e-300:
+            flux = flux - (np.dot(du, flux) / denom) * r
+    return -D(flux, nu)
+
+
+def oracle_hydro(rho, u, grid, nu=1e-4):
+    def D(w, order=1):
+        return oracle_derivative(w, grid, nu, order)
+
+    return -D(rho * u), -3 * u * D(u) + rho * (D(rho, 3) + 2 * D(rho))
+
+
+def smooth_random_field(n, seed):
+    """Real field with random Fourier coefficients under a Gaussian envelope (peak 1)."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(n // 2 + 1)
+    coef = rng.standard_normal(j.size) + 1j * rng.standard_normal(j.size)
+    u = np.fft.irfft(coef * np.exp(-((12 * j / n) ** 2)), n)
+    return u / np.max(np.abs(u))
+
+
+def assert_matches_oracle(new, oracle, fields):
+    """new(*fields) agrees with oracle(*fields) within 1e-12 of the oracle's peak.
+
+    Where a derivative amplifies rounding (order 3, or nu = 0 on a fine grid)
+    the oracle itself is only as exact as its rounding; there the bound is
+    four times the oracle's spread under circular shifts of the grid, which
+    change nothing but the rounding.
+    """
+    def flat(out, shift=0):
+        parts = out if isinstance(out, tuple) else (out,)
+        return np.concatenate([np.roll(a, -shift) for a in parts])
+
+    ref = flat(oracle(*fields))
+    spread = 0.0
+    for s in (1, fields[0].size // 3):
+        moved = flat(oracle(*(np.roll(f, s) for f in fields)), s)
+        spread = max(spread, np.max(np.abs(moved - ref)))
+    err = np.max(np.abs(flat(new(*fields)) - ref))
+    assert err <= max(1e-12 * np.max(np.abs(ref)), 4 * spread)
+
+
+ORACLE_GRIDS = [(16, 8.0), (256, 40.0), (2048, 40.0)]
+
+
+def oracle_fields(n, length):
+    grid = PeriodicGrid(length, n)
+    return grid, {
+        "compacton": initial_condition("compacton", grid).data,
+        "smooth": smooth_random_field(n, n),
+    }
+
+
+class TestRealFftRouteMatchesOracle:
+    @pytest.mark.parametrize("n,length", ORACLE_GRIDS)
+    @pytest.mark.parametrize("nu", [0.0, 1e-4])
+    @pytest.mark.parametrize("conserve_mass", [True, False])
+    def test_dkdv_rhs(self, n, length, nu, conserve_mass):
+        grid, fields = oracle_fields(n, length)
+        for u in fields.values():
+            assert_matches_oracle(
+                lambda w: dkdv_rhs(w, grid, 4.0, nu, conserve_mass),
+                lambda w: oracle_dkdv(w, grid, 4.0, nu, conserve_mass),
+                (u,),
+            )
+
+    @pytest.mark.parametrize("n,length", ORACLE_GRIDS)
+    @pytest.mark.parametrize("nu", [0.0, 1e-4])
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_regularized_derivative(self, n, length, nu, order):
+        grid, fields = oracle_fields(n, length)
+        wave = np.exp(2j * np.pi * grid.xs / length)
+        for u in fields.values():
+            for v in (u, u * wave):
+                out = regularized_derivative(v, grid, nu, order)
+                assert out.dtype == v.dtype
+                assert_matches_oracle(
+                    lambda w: regularized_derivative(w, grid, nu, order),
+                    lambda w: oracle_derivative(w, grid, nu, order),
+                    (v,),
+                )
+
+    @pytest.mark.parametrize("n,length", ORACLE_GRIDS)
+    @pytest.mark.parametrize("nu", [0.0, 1e-4])
+    def test_hydro_rhs(self, n, length, nu):
+        grid, fields = oracle_fields(n, length)
+        rho = 1.2 + fields["smooth"]
+        u = np.roll(fields["smooth"], n // 4)
+        assert_matches_oracle(
+            lambda r, w: hydro_rhs(r, w, grid, nu),
+            lambda r, w: oracle_hydro(r, w, grid, nu),
+            (rho, u),
+        )
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-4])
+    def test_hydro_rhs_on_acceptance_states(self, nu):
+        # the two initial states of the hydrodynamic acceptance criterion
+        grid = PeriodicGrid(4 * SQRT2 * math.pi, 256)
+        rho = 1 + math.sqrt(0.2) * np.cos(SQRT2 * grid.xs)
+        states = [(grid, rho, np.zeros(grid.n))]
+        grid = PeriodicGrid(40.0, 1024)
+        states.append((grid, *initial_condition("gaussian", grid).data))
+        for g, rho, u in states:
+            assert_matches_oracle(
+                lambda r, w: hydro_rhs(r, w, g, nu),
+                lambda r, w: oracle_hydro(r, w, g, nu),
+                (rho, u),
+            )
+
+    def test_multiplier_built_once_per_grid_and_strength(self, monkeypatch):
+        seen = {}
+        orig = PeriodicGrid._multiplier
+
+        def spy(self, nu):
+            out = orig(self, nu)
+            seen.setdefault((id(self), nu), []).append(out)
+            return out
+
+        monkeypatch.setattr(PeriodicGrid, "_multiplier", spy)
+        grid = PeriodicGrid(40.0, 256)
+        run_model(initial_condition("compacton", grid), 0.02, n_samples=2)
+        assert sorted(nu for _, nu in seen) == [0.0, 1e-4]
+        for arrays in seen.values():
+            assert len(arrays) > 100
+            assert all(a is arrays[0] for a in arrays)
+
+
 class TestIntegrate:
     def test_linear_rotation_accuracy(self):
         g = PeriodicGrid(2 * math.pi, 8)

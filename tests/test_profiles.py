@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -86,6 +87,17 @@ class TestStationaryPoint:
     def test_absent(self):
         assert stationary_point(0.0, -1.0, 4.0) is None
 
+    @pytest.mark.parametrize("A,c,p", [(-1.375, 3.0, 4.0), (0.3, 1.5, 3.5), (2.0, -1.0, 5.0)])
+    def test_zero_of_the_flux_derivative(self, A, c, p):
+        # G' = 2 (A + c z - z^(p-1)) vanishes at the stationary point
+        z = stationary_point(A, c, p)
+        assert A + c * z == pytest.approx(z ** (p - 1), abs=1e-12)
+
+    def test_tangency_is_the_double_root(self):
+        # A + z - z^2 = -(z - 1/2)^2 at A = -1/4, c = 1, p = 3
+        assert stationary_point(-0.25, 1.0, 3.0) == 0.5
+        assert stationary_point(-0.3, 1.0, 3.0) is None
+
 
 def count_calls(monkeypatch, name):
     calls = []
@@ -118,10 +130,10 @@ class TestOneClassificationPass:
         assert len(roots) == 1
 
     def test_front_is_classified_before_the_root_search(self, monkeypatch):
-        # A = z^2 + z with z = 2 + sqrt6 makes F vanish at its stationary point z
-        z = 2 + math.sqrt(6)
+        # G = (phi phi')^2 has a double root at its local minimum z = 0.5:
+        # A = z^3 - c z and 2B = -(2A z + c z^2 - z^4 / 2) at p = 4, c = 3
         roots = count_calls(monkeypatch, "_largest_positive_root_F")
-        assert classify(ModelParams(4, z * z + z, 0, -1)).tag == "Front"
+        assert classify(ModelParams(4, -1.375, 0.328125, 3)).tag == "Front"
         assert roots == []
 
 
@@ -142,6 +154,21 @@ class TestClassify:
     def test_rejects_low_exponent(self):
         with pytest.raises(ProfileError):
             classify(ModelParams(2, 0, 0.5, 0))
+
+    def test_zero_integration_constants_give_a_compacton(self):
+        # F(c^(1/3)) = c - (2/5) c vanishes only at c = 0: no rest point below phi_max
+        cls = classify(ModelParams(5, 0, 0, 6.25))
+        assert cls.tag == "Compacton"
+        assert build_compacton(ModelParams(5, 0, 0, 6.25), 64).phi.max() > 0
+
+    def test_triple_root_is_a_front(self):
+        # G = -(2/3) (phi - 1/2)^3 at p = 3, A = -1/4, B = 1/24, c = 1
+        assert classify(ModelParams(3, -0.25, 1 / 24, 1)).tag == "Front"
+
+    def test_simple_root_at_the_old_stationary_point_is_not_a_front(self):
+        # F vanishes at z = 2 + sqrt6, a root of A - z = z^2, with F'(z) != 0
+        z = 2 + math.sqrt(6)
+        assert classify(ModelParams(4, z * z + z, 0, -1)).tag != "Front"
 
     def test_rejects_empty_orbit(self):
         with pytest.raises(ProfileError):
@@ -167,6 +194,15 @@ class TestHalfWidth:
         params = ModelParams(4, 0, 0.25, 1)
         xr_quad = compacton_integrals(params, panels=128)[0]
         assert xr_quad == pytest.approx(support_half_width(params), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "params,tag",
+        [(ModelParams(4, 0, -0.2, 1), "Periodic"), (ModelParams(4, -1.375, 0.328125, 3), "Front")],
+    )
+    def test_integrals_reject_other_classes(self, params, tag):
+        # the periodic set once returned x_r = 7.4e149 from its F < 0 gap
+        with pytest.raises(ProfileError, match=tag):
+            compacton_integrals(params)
 
 
 class TestBuildCompacton:
@@ -317,6 +353,12 @@ class TestWeakResidual:
         prof = build_compacton_general(ModelParams(4, 0.3, 0.25, 1), 1025)
         psi = lambda x: np.exp(-((np.asarray(x) / 0.3) ** 2))
         assert abs(weak_residual(prof, psi)) < 1e-8
+
+    def test_rejects_a_profile_with_periodic_parameters(self):
+        prof = build_compacton(ModelParams(4, 0, 0.25, 1), 257)
+        prof = dataclasses.replace(prof, params=ModelParams(4, 0, -0.2, 1))
+        with pytest.raises(ProfileError, match="Periodic"):
+            weak_residual(prof, lambda x: np.exp(-(x**2)))
 
 
 class TestNlsPhase:

@@ -250,6 +250,8 @@ def _run_evolve_once(args, nu, out_dir):
     kind, opts = _parse_ic(args.ic)
 
     if args.model == "linear":
+        if args.p != 4:
+            raise CliError(f"--model linear is the p = 4 linearization; got --p {args.p:g}")
         case = opts.get("case", "B0c1") if kind == "case" else "B0c1"
         if kind not in ("case", "random"):
             raise CliError("--model linear expects --ic case:case=<tag>")
@@ -332,11 +334,13 @@ def _run_evolve_once(args, nu, out_dir):
 
 def _cmd_evolve(args):
     base_nu = args.nu
-    if args.sweep:
+    if args.sweep is not None:
         try:
             nus = [float(v) for v in args.sweep.split(",") if v]
         except ValueError:
             raise CliError(f"--sweep expects comma-separated numbers, got {args.sweep!r}")
+        if not nus:
+            raise CliError(f"--sweep needs at least one value, got {args.sweep!r}")
         out_root = Path(args.out_dir)
         jobs = [(nu, out_root / f"nu_{nu:g}") for nu in nus]
         with ThreadPoolExecutor(max_workers=min(len(jobs), 4)) as pool:

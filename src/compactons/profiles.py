@@ -323,17 +323,29 @@ def _is_front(params: ModelParams, z: float) -> bool:
 
 _leggauss = cache(leggauss)
 
+# Nodes per block of panels in `_gauss_panels`.  At 8192 nodes (64 KB) every
+# temporary of the integrand stays under glibc's default 128 KB mmap
+# threshold, so a block reuses heap memory instead of mapping and
+# page-faulting fresh pages for each temporary on every call.
+_BLOCK_NODES = 8192
+
 
 def _gauss_panels(f, bounds: np.ndarray, order: int = 8) -> np.ndarray:
     """Integrals of f over each panel [bounds[j], bounds[j+1]] by Gauss-Legendre.
 
-    f maps the (m, order) array of nodes to values of shape (..., m, order);
-    the result has shape (..., m).  The nodes never touch the panel
-    boundaries, so f may be singular-in-derivative there.
+    f maps a (m, order) array of nodes to values of shape (..., m, order),
+    pointwise in the nodes; the result has shape (..., m).  The nodes never
+    touch the panel boundaries, so f may be singular-in-derivative there.
     """
     nodes, weights = _leggauss(order)
     half = 0.5 * np.diff(bounds)
-    return (f((bounds[:-1] + half)[:, None] + half[:, None] * nodes) @ weights) * half
+    mid = bounds[:-1] + half
+    step = max(1, _BLOCK_NODES // order)
+    blocks = [
+        (f(mid[i : i + step, None] + half[i : i + step, None] * nodes) @ weights) * half[i : i + step]
+        for i in range(0, half.size, step)
+    ]
+    return np.concatenate(blocks, axis=-1)
 
 
 def _gauss_cumulative(g, u_max: float, m: int, order: int = 8):

@@ -15,7 +15,11 @@ closed form is computed from it:
 - the constraint modes of `evolve_linearized` are the lowest eigenvectors of
   the symmetric tridiagonal cell matrix of L (`_constraint_vectors`);
 - the coordinate change of `b_transform` is x(t) = -sqrt2 arctan(sinh t),
-  which makes the conjugated potential exactly -sech^2 t.
+  which makes the conjugated potential exactly -sech^2 t;
+- the inverse of the Green kernel is the exact three-point scheme of
+  phi (-d^2 - 2) phi, a symmetric tridiagonal matrix (`_kernel_inverse`), so
+  `eig_green` solves one tridiagonal eigenproblem for all three B = 1/4 cases
+  and `hs_norm_bound` sums the semiseparable kernel with prefix sums.
 
 Four parameter cases are supported, tagged B0c1, B14c1, B14c0, B14cm1 for
 (B, c) = (0, 1), (1/4, 1), (1/4, 0), (1/4, -1).
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, lu_factor, lu_solve, solve_banded
+from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve, solve_banded
 
 from .profiles import CompactonProfile, ModelParams, _write_csv, build_compacton
 
@@ -292,7 +296,7 @@ def green_apply(case_tag: str, f: np.ndarray, enforce_orthogonality: bool = True
 
 
 def _green_pair(case_tag, x, xr):
-    """(q_-, q_+, W, phi) on x for the non-resonant B = 1/4 cases.
+    """(q_-, q_+, W) on x for the non-resonant B = 1/4 cases.
 
     The inverse kernel is K(x, y) = -q_-(min(x, y)) q_+(max(x, y)) / W.
     """
@@ -300,38 +304,35 @@ def _green_pair(case_tag, x, xr):
         raise ValueError("explicit inverse kernel available for B14c1 and B14cm1 only")
     phi = _phi(case_tag, x)
     ym, yp, _, _, W = _y_pair(case_tag, x, xr)
-    return ym / phi, yp / phi, W, phi
+    return ym / phi, yp / phi, W
 
 
 def _kernel_matrix(case_tag, x, xr):
     """K(x_i, x_j) of the inverse for the non-resonant B = 1/4 cases."""
-    qm, qp, W, _ = _green_pair(case_tag, x, xr)
+    qm, qp, W = _green_pair(case_tag, x, xr)
     lower = np.tril(np.outer(qp, qm))  # rows i >= cols j: q_-(x_j) q_+(x_i)
     K = lower + lower.T - np.diag(qm * qp)
     return -K / W
 
 
 def _kernel_inverse(case_tag, x, xr):
-    """(diagonal, off-diagonal) of the inverse of `_kernel_matrix`, which is tridiagonal.
+    """(diagonal, off-diagonal) of the exact three-point scheme of phi (-d^2 - 2) phi.
 
-    x must be increasing.  The kernel matrix is -G / W with the semiseparable
-    Green matrix G_ij = q_-(x_min(i,j)) q_+(x_max(i,j)), so its inverse is
-    -W T with T = G^-1 tridiagonal: T_{i,i+1} = -1/d_i, d_i = a_{i+1} b_i -
-    a_i b_{i+1} (a = q_-, b = q_+), interior diagonal (a_{i+1} b_{i-1} -
-    a_{i-1} b_{i+1}) / (d_{i-1} d_i), and ends a_1 / (a_0 d_0),
-    b_{n-2} / (b_{n-1} d_{n-2}).  Both differences are taken in the closed form
-    a_j b_i - a_i b_j = -sin(2 sqrt2 x_r) sin(sqrt2 (x_j - x_i)) / (2 phi_i phi_j),
-    which does not cancel for close samples.
+    x must be increasing.  With Dirichlet ends y(-x_r) = y(x_r) = 0 for
+    y = phi*w, and x_{-1} = -x_r, x_n = x_r, the symmetric tridiagonal T has
+    T_{i,i+1} = -sqrt2 phi_i phi_{i+1} / sin(sqrt2 (x_{i+1} - x_i)) and
+    T_ii = sqrt2 phi_i^2 sin(sqrt2 (x_{i+1} - x_{i-1})) /
+    (sin(sqrt2 (x_i - x_{i-1})) sin(sqrt2 (x_{i+1} - x_i))), which annihilates
+    the samples of every solution of y'' + 2y = 0.  For B14c1 and B14cm1, T is
+    the inverse of `_kernel_matrix`: the semiseparable Green matrix -G / W has
+    the inverse -W G^-1, and the Wronskian W cancels out of every entry.  For
+    B14c0 (W = 0) T is singular, with null vector phi.
     """
-    qm, qp, W, phi = _green_pair(case_tag, x, xr)
-    s2r = math.sin(2 * SQRT2 * xr)
-    d = -s2r * np.sin(SQRT2 * np.diff(x)) / (2 * phi[:-1] * phi[1:])
-    num = -s2r * np.sin(SQRT2 * (x[2:] - x[:-2])) / (2 * phi[:-2] * phi[2:])
-    diag = np.empty(x.size)
-    diag[1:-1] = num / (d[:-1] * d[1:])
-    diag[0] = qm[1] / (qm[0] * d[0])
-    diag[-1] = qp[-2] / (qp[-1] * d[-1])
-    return -W * diag, W / d
+    phi = _phi(case_tag, x)
+    xe = np.concatenate(([-xr], x, [xr]))
+    sd = np.sin(SQRT2 * np.diff(xe))
+    diag = SQRT2 * phi * phi * np.sin(SQRT2 * (xe[2:] - xe[:-2])) / (sd[:-1] * sd[1:])
+    return diag, -SQRT2 * phi[:-1] * phi[1:] / sd[1:-1]
 
 
 def green_orthogonalize(case_tag: str, f: np.ndarray) -> np.ndarray:
@@ -355,14 +356,21 @@ def green_orthogonalize(case_tag: str, f: np.ndarray) -> np.ndarray:
 
 
 def hs_norm_bound(case_tag: str, levels=(256, 512, 1024)) -> list:
-    """sup_x int |K(x, y)|^2 dy on successively refined uniform grids."""
+    """sup_x int |K(x, y)|^2 dy on successively refined uniform grids.
+
+    K is semiseparable, so row i of h sum_j K_ij^2 is
+    h (q_+i^2 sum_{j<=i} q_-j^2 + q_-i^2 sum_{j>i} q_+j^2) / W^2, read from
+    prefix sums without forming K.
+    """
     out = []
     xr = _geometry(case_tag)[2]
     for n in levels:
         x = np.linspace(-xr, xr, n + 2)[1:-1]
-        h = x[1] - x[0]
-        K = _kernel_matrix(case_tag, x, xr)
-        row = np.sum(K * K, axis=1) * h
+        h = 2 * xr / (n + 1)
+        qm, qp, W = _green_pair(case_tag, x, xr)
+        a, b = qm * qm, qp * qp
+        after = np.append(np.cumsum(b[::-1])[::-1][1:], 0.0)
+        row = (b * np.cumsum(a) + a * after) * (h / (W * W))
         out.append(float(np.max(row)))
     return out
 
@@ -385,15 +393,13 @@ def eig_green(case_tag: str, n: int = 1600, k: int = 6) -> Spectrum:
     eigenvectors over sqrt(w).  k must lie between 1 and the number of
     eigenpairs the mesh gives (n, or n - 1 for B14c0).
 
-    B14c1 and B14cm1: K is a semiseparable Green matrix whose inverse is
-    tridiagonal (`_kernel_inverse`), so S^-1 = D^-1 K^-1 D^-1 is a symmetric
-    tridiagonal matrix whose lowest k eigenpairs, the lowest k eigenpairs of
-    L on the mesh, are computed directly in O(n k); no dense matrix is built.
-
-    B14c0: the one-sided variation-of-parameters kernel is used on the
-    complement of phi (the kernel of L).  S is its symmetric part projected
-    off phi by rank-one updates, and only its k largest mu are computed, which
-    are the lowest k eigenvalues since L is positive on that complement.
+    K^-1 is the tridiagonal T of `_kernel_inverse`, so S^-1 = D^-1 T D^-1 is
+    a symmetric tridiagonal matrix whose lowest eigenpairs, the lowest
+    eigenpairs of L on the mesh, are computed directly in O(n k); no dense
+    matrix is built.  For B14c0, T is singular with null vector phi (the
+    kernel of L, so K exists only on the complement of phi), and L is
+    positive on that complement: the eigenpair of index 0 is phi and is
+    skipped, and indices 1..k are returned.
     """
     _check_case(case_tag)
     B, c = CASE_PARAMS[case_tag]
@@ -401,35 +407,15 @@ def eig_green(case_tag: str, n: int = 1600, k: int = 6) -> Spectrum:
         raise ValueError("eig_green covers the B = 1/4 cases")
     if n < 2:
         raise ValueError(f"n = {n}: eig_green needs at least 2 mesh points")
+    first = 1 if case_tag == "B14c0" else 0
+    _check_k(k, n - first)
     xr = _geometry(case_tag)[2]
     x, w = _graded_mesh(xr, n)
     sw = np.sqrt(w)
-    if case_tag in ("B14c1", "B14cm1"):
-        _check_k(k, n)
-        k_diag, k_off = _kernel_inverse(case_tag, x, xr)
-        lams, vecs = eigh_tridiagonal(
-            k_diag / w, k_off / (sw[:-1] * sw[1:]), select="i", select_range=(0, k - 1)
-        )
-    else:
-        _check_k(k, n - 1)
-        # symmetric part of -sin(sqrt2 (x - y))/sqrt2 [x > y] / (phi(x) phi(y)), weighted
-        phi = _phi(case_tag, x)
-        s = sw / phi
-        S = np.subtract.outer(x, x)
-        np.abs(S, out=S)
-        S *= SQRT2
-        np.sin(S, out=S)
-        S *= (-0.5 / SQRT2) * s[:, None]
-        S *= s[None, :]
-        # P S P with P = I - u u^T, as S - u z^T - z u^T with z = S u - (u.S u / 2) u
-        u = phi * sw
-        u /= np.linalg.norm(u)
-        z = S @ u
-        z -= 0.5 * (u @ z) * u
-        S -= np.outer(u, z)
-        S -= np.outer(z, u)
-        mu, vecs = eigh(S, subset_by_index=[n - k, n - 1])
-        lams, vecs = 1.0 / mu[::-1], vecs[:, ::-1]
+    k_diag, k_off = _kernel_inverse(case_tag, x, xr)
+    lams, vecs = eigh_tridiagonal(
+        k_diag / w, k_off / (sw[:-1] * sw[1:]), select="i", select_range=(first, first + k - 1)
+    )
     funcs = vecs / sw[:, None]
     zero_counts = [count_zeros(funcs[:, j]) for j in range(k)]
     return Spectrum(

@@ -243,6 +243,16 @@ class TestEvolveCommand:
         for tag in ("nu_0.0001", "nu_0.001"):
             assert (tmp_path / tag / "s_run.json").exists()
 
+    @pytest.mark.parametrize("sweep", [",", ""])
+    def test_sweep_without_values(self, capsys, tmp_path, sweep):
+        code, _, err = run(
+            capsys, "evolve", "--model", "dkdv", "--ic", "compacton:B=0,c=1",
+            "--out-dir", str(tmp_path), "--sweep", sweep,
+        )
+        assert code == 2
+        assert "--sweep needs at least one value" in err
+        assert not list(tmp_path.iterdir())
+
     def test_dnls_default_box(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "evolve", "--model", "dnls", "--ic", "periodic", "--n", "128",
@@ -298,6 +308,16 @@ class TestEvolveCommand:
         assert code == 0
         header = (tmp_path / "lin_series.csv").read_text().split("\n", 1)[0]
         assert header == "t,energy_H,flux_upsilon,ortho_phi,ortho_phix"
+
+    @pytest.mark.parametrize("p", ["3", "4.5"])
+    def test_linearized_model_rejects_other_exponents(self, capsys, tmp_path, p):
+        code, _, err = run(
+            capsys, "evolve", "--model", "linear", "--ic", "case:case=B0c1", "--p", p,
+            "--T", "0.05", "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert "p = 4 linearization" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("argv", [
         ("--model", "dkdv", "--ic", "compacton:B=0,c=1,x0=-5", "--n", "256", "--T", "-1", "--snapshots", "5"),

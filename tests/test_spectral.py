@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestGreenInverse:
     def test_kernel_norm_bounded_under_refinement(self, case):
         seq = hs_norm_bound(case, levels=(256, 512, 1024))
         assert seq[-1] < 1.1 * seq[0]
+
+    @pytest.mark.parametrize("case", ["B14c1", "B14cm1"])
+    def test_kernel_norm_matches_dense_row_sums(self, case):
+        levels = (1, 2, 24, 256)
+        xr = spectral._geometry(case)[2]
+        dense = []
+        for n in levels:
+            x = np.linspace(-xr, xr, n + 2)[1:-1]
+            K = spectral._kernel_matrix(case, x, xr)
+            dense.append(np.max(np.sum(K * K, axis=1)) * 2 * xr / (n + 1))
+        assert hs_norm_bound(case, levels) == pytest.approx(dense, rel=1e-12)
 
 
 def profile_interior(case, m):
@@ -252,13 +264,36 @@ def dense_green_spectrum(case, n, k):
 class TestGreenEigensolver:
     @pytest.mark.parametrize("case", ["B14c1", "B14cm1", "B14c0"])
     def test_matches_dense_eigensolve(self, case):
-        spec = eig_green(case, n=400, k=6)
-        lams, funcs = dense_green_spectrum(case, 400, 6)
-        assert np.max(np.abs(spec.eigenvalues - lams) / np.abs(lams)) < 1e-9
-        for j in range(6):
-            f, g = spec.eigenfunctions[:, j], funcs[:, j]
-            sign = math.copysign(1.0, f @ g)
-            assert np.max(np.abs(f - sign * g)) < 1e-9 * np.max(np.abs(g))
+        sizes = [(400, 6), (1600, 5)] if case == "B14c0" else [(400, 6)]
+        for n, k in sizes:
+            spec = eig_green(case, n=n, k=k)
+            lams, funcs = dense_green_spectrum(case, n, k)
+            assert np.max(np.abs(spec.eigenvalues - lams) / np.abs(lams)) < 1e-9
+            for j in range(k):
+                f, g = spec.eigenfunctions[:, j], funcs[:, j]
+                sign = math.copysign(1.0, f @ g)
+                assert np.max(np.abs(f - sign * g)) < 1e-9 * np.max(np.abs(g))
+            assert spec.zero_counts == [count_zeros(funcs[:, j]) for j in range(k)]
+
+    @pytest.mark.parametrize("n", [24, 400, 1600])
+    def test_zero_speed_tridiagonal_annihilates_phi(self, n):
+        xr = spectral._geometry("B14c0")[2]
+        x, _ = spectral._graded_mesh(xr, n)
+        diag, off = spectral._kernel_inverse("B14c0", x, xr)
+        phi = spectral._phi("B14c0", x)
+        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.max(np.abs(T @ phi)) < 1e-13 * np.max(np.abs(diag * phi))
+
+    def test_zero_speed_case_builds_no_dense_matrix(self):
+        n = 1600
+        eig_green("B14c0", n=50, k=5)
+        tracemalloc.start()
+        try:
+            eig_green("B14c0", n=n, k=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
     @pytest.mark.parametrize("case", ["B14c1", "B14cm1"])
     @pytest.mark.parametrize("n", [2, 5, 24])

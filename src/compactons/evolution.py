@@ -119,8 +119,10 @@ class IntegratorConfig:
     max_step: float = 0.1
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("rtol", "atol", "initial_step", "max_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} = {value}; it must be positive and finite")
 
 
 @dataclass
@@ -280,6 +282,13 @@ def _newton_stage(rhs, z0, target, d, tol):
     return z, fz, np.linalg.norm(z - d * fz - target) <= 10 * tol * scale
 
 
+def _check_end_time(t_end, t0):
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end = {t_end}; the integration needs a finite end time")
+    if t_end < t0:
+        raise ValueError(f"t_end = {t_end} precedes the initial time {t0}")
+
+
 def integrate(
     rhs: Callable,
     state0: FieldState,
@@ -293,8 +302,7 @@ def integrate(
     Returns (times, states) at the requested sample times (t_eval), with
     dense output by cubic Hermite interpolation on accepted steps.
     """
-    if t_end < state0.t:
-        raise ValueError(f"t_end = {t_end} precedes the initial time {state0.t}")
+    _check_end_time(t_end, state0.t)
     y = _pack(state0)
     t = state0.t
     if t_eval is None:
@@ -459,6 +467,7 @@ def run_model(
     """Integrate a model state and collect conservation diagnostics at n_samples times."""
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}; the initial and final states need at least 2")
+    _check_end_time(t_end, state0.t)
     t_eval = np.linspace(state0.t, t_end, n_samples)
     times, states = integrate(_model_rhs(state0, p, reg), state0, t_end, config, t_eval)
     series = DiagnosticsSeries()

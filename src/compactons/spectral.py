@@ -13,7 +13,8 @@ closed form is computed from it:
   `green_orthogonalize` project off is the sampled sine with the eigenvalue
   nearest zero (`_dirichlet_null_mode`);
 - the constraint modes of `evolve_linearized` are the lowest eigenvectors of
-  the symmetric tridiagonal cell matrix of L (`_constraint_vectors`);
+  the symmetric tridiagonal cell matrix of L (`_constraint_vectors`), and its
+  step matrix is banded plus a rank-k correction for the constraints;
 - the coordinate change of `b_transform` is x(t) = -sqrt2 arctan(sinh t),
   which makes the conjugated potential exactly -sech^2 t;
 - the inverse of the Green kernel is the exact three-point scheme of
@@ -34,7 +35,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve, solve_banded
+from scipy import sparse
+from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.sparse.linalg import splu
 
 from .profiles import CompactonProfile, ModelParams, _write_csv, build_compacton
 
@@ -548,15 +551,16 @@ def _cell_operator(case_tag, N):
 
 
 def _transport_matrix(N, h):
-    """Centered d/dx with ghosts w_{-1} := w_0 (free left flux), w_N := -w_{N-1}."""
-    D1 = (np.diag(np.ones(N - 1), 1) - np.diag(np.ones(N - 1), -1)) / (2 * h)
-    D1[0, 0] = -1.0 / (2 * h)
-    D1[-1, -1] = -1.0 / (2 * h)
-    return D1
+    """Bands (sub, main, super) of centered d/dx with ghosts w_{-1} := w_0 (free left
+    flux) and w_N := -w_{N-1}: -1/(2h) on the main diagonal in the first and last rows."""
+    off = np.full(N - 1, 1.0 / (2 * h))
+    main = np.zeros(N)
+    main[[0, -1]] = -1.0 / (2 * h)
+    return -off, main, off
 
 
 def _constraint_vectors(case_tag, diag, off):
-    """Discrete eigenvectors of L standing in for phi (and phi_x for B0c1).
+    """Columns: discrete eigenvectors of L standing in for phi (and phi_x for B0c1).
 
     They are the lowest eigenvectors of the tridiagonal cell matrix, next to
     the eigenvalues -2c of phi (and 0 of phi_x for B0c1).  Using the matrix
@@ -566,17 +570,15 @@ def _constraint_vectors(case_tag, diag, off):
     quadratic form.
     """
     k = 2 if case_tag == "B0c1" else 1
-    _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    return list(vecs.T)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))[1]
 
 
 def constrain_initial(case_tag: str, v0: np.ndarray) -> np.ndarray:
     """Project initial data onto the orthogonality constraints of the evolution."""
-    v0 = np.asarray(v0, dtype=float).copy()
+    v0 = np.asarray(v0, dtype=float)
     _, _, diag, off, _ = _cell_operator(case_tag, v0.size)
-    for e in _constraint_vectors(case_tag, diag, off):
-        v0 -= (v0 @ e) * e
-    return v0
+    E = _constraint_vectors(case_tag, diag, off)
+    return v0 - E @ (E.T @ v0)
 
 
 def evolve_linearized(
@@ -597,64 +599,60 @@ def evolve_linearized(
     direction (and to the translation direction for B0c1) is enforced by
     projection of the generator, which keeps the constraints to rounding
     error without disturbing the energy identity.
+
+    No N x N matrix is formed.  With M = D1 L pentadiagonal and P = I - E E^T
+    for the k constraint columns E, the step matrix I - a P M (a = dt/2) is
+    (I - a M) + a E (M^T E)^T: a banded matrix, factored once, plus a rank-k
+    term handled by the Woodbury identity, so each step costs O(N).
     """
-    if t_end < 0:
-        raise ValueError(f"t_end = {t_end} is negative; the evolution runs forward from t = 0")
+    if not math.isfinite(t_end) or t_end < 0:
+        raise ValueError(f"t_end = {t_end}; the evolution runs from t = 0 to a finite time")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt = {dt}; the time step must be positive and finite")
     if record_every < 1:
         raise ValueError(f"record_every = {record_every}; it must be at least 1")
     x, h, diag, off, xr = _cell_operator(op.case_tag, N)
     v0 = np.asarray(v0, dtype=float)
     if v0.size != N:
         raise ValueError(f"initial data must have {N} cell samples")
-    if dt is None:
-        dt = 1e-3 * 2 * xr
-    cons = _constraint_vectors(op.case_tag, diag, off)
-    L = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    for e in cons:
-        if abs(v0 @ e) > 1e-8 * np.linalg.norm(v0):
-            raise ValueError("initial data violates an orthogonality constraint")
-        v0 = v0 - (v0 @ e) * e
-    D1 = _transport_matrix(N, h)
-    P = np.eye(N)
-    for e in cons:
-        P -= np.outer(e, e)
-    A = P @ (D1 @ L)
-    src = np.zeros(N) if f is None else P @ np.asarray(f, dtype=float)
-
+    dt = 1e-3 * 2 * xr if dt is None else dt
+    E = _constraint_vectors(op.case_tag, diag, off)
+    if np.any(np.abs(v0 @ E) > 1e-8 * np.linalg.norm(v0)):
+        raise ValueError("initial data violates an orthogonality constraint")
+    f = np.zeros(N) if f is None else np.asarray(f, dtype=float)
     steps = max(1, int(round(t_end / dt)))
     dt = t_end / steps
-    lhs = np.eye(N) - 0.5 * dt * A
-    rhs_m = np.eye(N) + 0.5 * dt * A
-    lu = lu_factor(lhs)
+    a = 0.5 * dt
+    src = dt * (f - E @ (E.T @ f))
 
-    def diag(v):
-        w = L @ v
-        E = h * float(v @ w)
-        ups = float(w[0])
-        o_phi = h * float(v @ cons[0])
-        o_phix = h * float(v @ cons[1]) if len(cons) > 1 else 0.0
-        return E, ups, o_phi, o_phix
+    # I - a P M = K + E W^T for the banded K = I - a M and W = a M^T E; Woodbury gives
+    # (K + E W^T)^-1 r = y - G W^T y with y = K^-1 r, and I + a P M = I + a M - E W^T
+    L = sparse.diags((off, diag, off), (-1, 0, 1), format="csr")
+    M = sparse.diags(_transport_matrix(N, h), (-1, 0, 1)) @ L
+    W = a * (M.T @ E)
+    lu = splu((sparse.identity(N) - a * M).tocsc())
+    Z = lu.solve(E)
+    G = Z @ np.linalg.inv(np.eye(E.shape[1]) + W.T @ Z)
 
-    times, states, Es, fluxes, o1s, o2s = [], [], [], [], [], []
-    v = v0.copy()
-    t = 0.0
-    E, ups, o1, o2 = diag(v)
-    times.append(t), states.append(v.copy()), Es.append(E)
-    fluxes.append(ups), o1s.append(o1), o2s.append(o2)
-    for istep in range(steps):
-        v = lu_solve(lu, rhs_m @ v + dt * src)
-        t = (istep + 1) * dt
-        if (istep + 1) % record_every == 0 or istep == steps - 1:
-            E, ups, o1, o2 = diag(v)
-            times.append(t), states.append(v.copy()), Es.append(E)
-            fluxes.append(ups), o1s.append(o1), o2s.append(o2)
+    recorded = np.append(np.arange(0, steps, record_every), steps)
+    states = np.empty((recorded.size, N))
+    v = states[0] = v0 - E @ (E.T @ v0)
+    for i in range(1, steps + 1):
+        y = lu.solve(v + a * (M @ v) - E @ (W.T @ v) + src)
+        v = y - G @ (W.T @ y)
+        if i % record_every == 0:
+            states[i // record_every] = v
+    states[-1] = v
+
+    Lv = L @ states.T  # column j: L v at the j-th recorded time
+    ortho = h * (states @ E)
     return LinearizedTrajectory(
-        times=np.array(times),
-        states=np.array(states),
-        energy=np.array(Es),
-        flux=np.array(fluxes),
-        ortho_phi=np.array(o1s),
-        ortho_phix=np.array(o2s),
+        times=recorded * dt,
+        states=states,
+        energy=h * np.einsum("ij,ji->i", states, Lv),
+        flux=Lv[0].copy(),
+        ortho_phi=ortho[:, 0],
+        ortho_phix=ortho[:, 1] if E.shape[1] > 1 else np.zeros(recorded.size),
         xs=x,
     )
 

@@ -324,7 +324,22 @@ class TestEvolveCommand:
         ("--model", "dkdv", "--ic", "compacton:B=0,c=1,x0=-5", "--n", "256", "--T", "0.01", "--snapshots", "1"),
         ("--model", "dkdv", "--ic", "compacton:B=0,c=1,x0=-5", "--n", "256", "--T", "0.01", "--snapshots", "0"),
         ("--model", "linear", "--ic", "case:case=B0c1", "--T", "-1"),
-    ], ids=["negative-time", "one-snapshot", "no-snapshots", "linear-negative-time"])
+        ("--model", "linear", "--ic", "case:case=B0c1", "--T", "inf"),
+        ("--model", "linear", "--ic", "case:case=B0c1", "--T", "nan"),
+        ("--model", "dkdv", "--ic", "compacton:B=0,c=1", "--n", "64", "--T", "inf"),
+        ("--model", "dkdv", "--ic", "compacton:B=0,c=1", "--n", "64", "--T", "nan"),
+        ("--model", "hydro", "--ic", "gaussian", "--n", "64", "--T", "inf"),
+        ("--model", "hydro", "--ic", "gaussian", "--n", "64", "--T", "nan"),
+        ("--model", "dkdv", "--ic", "compacton:B=0,c=1", "--n", "64", "--T", "0.1", "--max-step", "0"),
+        ("--model", "dkdv", "--ic", "compacton:B=0,c=1", "--n", "64", "--T", "0.1", "--max-step", "-1"),
+        ("--model", "dkdv", "--ic", "compacton:B=0,c=1", "--n", "64", "--T", "0.1", "--rtol", "nan"),
+        ("--model", "dkdv", "--ic", "compacton:B=0,c=1", "--n", "64", "--T", "0.1", "--atol", "inf"),
+    ], ids=[
+        "negative-time", "one-snapshot", "no-snapshots", "linear-negative-time",
+        "linear-infinite-time", "linear-nan-time", "dkdv-infinite-time", "dkdv-nan-time",
+        "hydro-infinite-time", "hydro-nan-time", "zero-max-step", "negative-max-step",
+        "nan-rtol", "infinite-atol",
+    ])
     def test_rejects_time_range(self, capsys, tmp_path, argv):
         code, _, err = run(capsys, "evolve", *argv, "--out-dir", str(tmp_path))
         assert code == 2

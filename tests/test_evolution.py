@@ -371,6 +371,20 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda y: -y, state, 0.5)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_nonfinite_end_time_rejected(self, t_end):
+        state = FieldState("real", PeriodicGrid(2 * math.pi, 16), np.ones(16))
+        with pytest.raises(ValueError):
+            integrate(lambda y: -y, state, t_end)
+        with pytest.raises(ValueError):
+            run_model(initial_condition("gaussian", PeriodicGrid(40.0, 64)), t_end)
+
+    @pytest.mark.parametrize("name", ["rtol", "atol", "initial_step", "max_step"])
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.inf, math.nan])
+    def test_config_values_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{name: value})
+
 
 class TestInitialConditions:
     def test_compacton_peak(self):

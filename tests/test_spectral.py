@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
 
 from compactons import spectral
 from compactons.spectral import (
@@ -406,6 +406,81 @@ class TestLinearizedEvolution:
         header = path.read_text().split("\n", 1)[0]
         assert header == "t,energy_H,flux_upsilon,ortho_phi,ortho_phix"
 
+    @pytest.mark.parametrize("case", ALL_CASES)
+    @pytest.mark.parametrize("N", [128, 512])
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_matches_the_dense_oracle(self, case, N, forced, record_every):
+        rng = np.random.default_rng(N + record_every)
+        op = make_operator(case, N + 1)
+        v0 = constrain_initial(case, rng.standard_normal(N))
+        f = rng.standard_normal(N) if forced else None
+        kw = dict(f=f, t_end=0.25, N=N, record_every=record_every)
+        got, ref = evolve_linearized(op, v0, **kw), dense_evolve_linearized(op, v0, **kw)
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.xs, ref.xs)
+        for name in ("states", "flux"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b)), name
+        assert np.max(np.abs(got.energy - ref.energy) / np.abs(ref.energy)) < 1e-12
+        for name in ("ortho_phi", "ortho_phix"):
+            assert np.max(np.abs(getattr(got, name) - getattr(ref, name))) < 1e-10, name
+
+    def test_builds_no_dense_matrix(self):
+        N = 1024
+        op = make_operator("B14cm1", 257)
+        v0 = constrain_initial("B14cm1", np.random.default_rng(6).standard_normal(N))
+        evolve_linearized(op, v0, t_end=0.01, N=N, record_every=10**6)
+        tracemalloc.start()
+        try:
+            evolve_linearized(op, v0, t_end=0.01, N=N, record_every=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < N * N * 8 / 4
+
+
+def dense_evolve_linearized(op, v0, f=None, t_end=1.0, N=512, dt=None, record_every=1):
+    """`evolve_linearized` with dense N x N matrices: P (D1 L) and one dense LU factorization."""
+    x, h, diag, off, xr = spectral._cell_operator(op.case_tag, N)
+    if dt is None:
+        dt = 1e-3 * 2 * xr
+    cons = spectral._constraint_vectors(op.case_tag, diag, off).T
+    L = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    v0 = np.asarray(v0, dtype=float)
+    for e in cons:
+        v0 = v0 - (v0 @ e) * e
+    D1 = (np.diag(np.ones(N - 1), 1) - np.diag(np.ones(N - 1), -1)) / (2 * h)
+    D1[0, 0] = D1[-1, -1] = -1.0 / (2 * h)
+    P = np.eye(N)
+    for e in cons:
+        P -= np.outer(e, e)
+    A = P @ (D1 @ L)
+    src = np.zeros(N) if f is None else P @ np.asarray(f, dtype=float)
+    steps = max(1, int(round(t_end / dt)))
+    dt = t_end / steps
+    lu = lu_factor(np.eye(N) - 0.5 * dt * A)
+    rhs_m = np.eye(N) + 0.5 * dt * A
+    times, states = [0.0], [v0]
+    v = v0
+    for istep in range(steps):
+        v = lu_solve(lu, rhs_m @ v + dt * src)
+        if (istep + 1) % record_every == 0 or istep == steps - 1:
+            times.append((istep + 1) * dt)
+            states.append(v)
+    states = np.array(states)
+    w = states @ L
+    ortho = [h * states @ e for e in cons] + [np.zeros(len(times))]
+    return spectral.LinearizedTrajectory(
+        times=np.array(times),
+        states=states,
+        energy=np.array([h * float(s @ r) for s, r in zip(states, w)]),
+        flux=w[:, 0],
+        ortho_phi=ortho[0],
+        ortho_phix=ortho[1],
+        xs=x,
+    )
+
 
 def eigensolver_null_mode(case, m):
     """Unit null mode of the Dirichlet matrix D2 + 2I from a windowed tridiagonal eigensolve."""
@@ -470,7 +545,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("N", [64, 256, 512])
     def test_constraint_modes_match_the_dense_eigensolve(self, case, N):
         _, _, diag, off, _ = spectral._cell_operator(case, N)
-        got = spectral._constraint_vectors(case, diag, off)
+        got = spectral._constraint_vectors(case, diag, off).T
         ref = dense_constraint_vectors(case, N)
         assert len(got) == len(ref)
         for e, r in zip(got, ref):
@@ -512,6 +587,20 @@ GUARDED_CALLS = [
         lambda: evolve_linearized(resting_operator(), np.zeros(128), N=128, record_every=0),
         id="evolve_linearized-record-every",
     ),
+    *[
+        pytest.param(
+            lambda t_end=t_end: evolve_linearized(resting_operator(), np.zeros(128), t_end=t_end, N=128),
+            id=f"evolve_linearized-{name}-time",
+        )
+        for name, t_end in (("infinite", math.inf), ("nan", math.nan))
+    ],
+    *[
+        pytest.param(
+            lambda dt=dt: evolve_linearized(resting_operator(), np.zeros(128), t_end=0.1, N=128, dt=dt),
+            id=f"evolve_linearized-{name}-dt",
+        )
+        for name, dt in (("zero", 0.0), ("negative", -0.01), ("infinite", math.inf), ("nan", math.nan))
+    ],
     pytest.param(lambda: green_apply("B14c0", np.ones(255)), id="green_apply-B14c0-solvability"),
     pytest.param(lambda: green_apply("B14c1", np.ones(0)), id="green_apply-no-samples"),
     pytest.param(
